@@ -60,8 +60,6 @@ from .transport import (
     ps,
     recover,
     reparametrize,
-    rescaled_endpoint,
-    rescaling_curve,
     reverse,
     reverse_transport,
     solve_parallel,

@@ -109,6 +109,14 @@ CONFIG_SCHEMA = {
 }
 
 
+class _ConfigSection(dict):
+    """A JSON object read from the configuration: a missing key is a
+    configuration error, unlike a KeyError raised inside the library."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"configuration lacks the key {key!r}")
+
+
 @dataclass
 class Dims:
     p: int
@@ -363,7 +371,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             with open(args.config) as fh:
-                config = json.load(fh)
+                config = json.load(fh, object_hook=_ConfigSection)
         else:
             config = {"schema": 1, "dims": {"p": 2, "q": 0, "N": 2,
                                             "rank_even": 1, "rank_odd": 1}}
@@ -371,7 +379,7 @@ def main(argv=None) -> int:
         handler = {"transport": _cmd_transport, "flow": _cmd_flow,
                    "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
         result = handler(config, args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 1
     except SuperTransportError as exc:

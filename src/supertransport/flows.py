@@ -62,9 +62,9 @@ def _check_init(field: SuperVectorField, init: list[GrassmannElement], n: int):
     for i, x in enumerate(init):
         if x.n != n:
             raise ParityError("initial coordinates live over different algebras")
-        if i < field.p and x.odd_part().norm() != 0.0:
+        if i < field.p and not x.is_even():
             raise ParityError(f"even coordinate {i} has an odd initial value")
-        if i >= field.p and x.even_part().norm() != 0.0:
+        if i >= field.p and not x.is_odd():
             raise ParityError(f"odd coordinate {i} has an even initial value")
 
 

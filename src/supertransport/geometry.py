@@ -33,7 +33,10 @@ from .grassmann import (
     Parity,
     PolyMap,
     mul_components,
+    ring_parity_signs,
     scale_stack,
+    soul_series,
+    split_parities,
     taylor_eval_stack,
 )
 from .superfield import Grid, SuperField, SuperPoint
@@ -77,35 +80,20 @@ class Curve:
                 self._derivative = _fd_curve(self)
         return self._derivative
 
-    def nth_derivative(self, k: int) -> "Curve":
-        cur = self
-        for _ in range(k):
-            cur = cur.derivative()
-        return cur
-
-    def eval_grassmann(self, t: GrassmannElement, max_order: int | None = None) -> GrassmannElement:
+    def eval_grassmann(self, t: GrassmannElement) -> GrassmannElement:
         """Evaluate at an even time with nilpotent soul (terminating Taylor)."""
         if t.n != self.n:
             raise DimensionError("time argument lives over a different algebra")
-        if t.odd_part().norm() != 0.0:
+        if not t.is_even():
             raise ParityError("time argument must be even")
-        body = t.body
-        soul = t.soul()
-        value = self(body)
-        if soul.norm() == 0.0:
-            return value
-        limit = self.n if max_order is None else max_order
-        power = GrassmannElement.one(self.n)
-        fact = 1.0
-        cur = self
-        for k in range(1, limit + 1):
-            power = power * soul
-            fact *= k
-            if power.norm() == 0.0:
-                break
-            cur = cur.derivative()
-            value = value + (power * cur(body)) / fact
-        return value
+        chain = [self]
+
+        def at_body(k: int) -> np.ndarray:
+            chain.append(chain[-1].derivative())
+            return chain[k](t.body).comps
+
+        tail = soul_series(self.n, t.soul().comps, at_body)
+        return GrassmannElement(self.n, self(t.body).comps + tail)
 
     # -- combinators ---------------------------------------------------------
 
@@ -156,7 +144,7 @@ class Curve:
 
     def shifted(self, sign: float, shift: GrassmannElement) -> "Curve":
         """The curve u -> self(sign*u + shift), shift an even element."""
-        if shift.odd_part().norm() != 0.0:
+        if not shift.is_even():
             raise ParityError("time shifts must be even")
         body = shift.body
         soul = shift.soul()
@@ -343,7 +331,7 @@ class GrassmannPoly:
         evens = list(coords[:self.p])
         odds = list(coords[self.p:])
         for z in odds:
-            if z.even_part().norm() != 0.0:
+            if not z.is_odd():
                 raise ParityError("odd coordinate value must be odd")
         dim = 1 << n
         shape = () if self.lambda_n is not None else self.coeff_shape
@@ -453,12 +441,6 @@ class GrassmannPoly:
         if len(degrees) > 1:
             return None
         return Parity(degrees.pop()) if degrees else Parity.EVEN
-
-    def _row_parities(self) -> np.ndarray:
-        if self.rank is None:
-            r = self.coeff_shape[0] if self.coeff_shape else 0
-            return np.zeros(r, dtype=int)
-        return np.array([0] * self.rank[0] + [1] * self.rank[1])
 
     def term_parities(self) -> set[int]:
         """Parities (0/1) present among the terms, payload included."""
@@ -597,12 +579,6 @@ class SuperPath:
         for ca, cb in zip(self.a, self.b):
             out.append(ca.eval_grassmann(point.t) + point.theta * cb.eval_grassmann(point.t))
         return out
-
-    def velocity_curves(self) -> tuple[Curve, ...]:
-        return tuple(c.derivative() for c in self.a)
-
-    def endpoint(self, point: SuperPoint) -> list[GrassmannElement]:
-        return self.value(point)
 
     def contains_time(self, t: float) -> bool:
         lo, hi = min(0.0, self.t_end), max(0.0, self.t_end)
@@ -817,8 +793,7 @@ class DifferentialForm:
 
 
 def _check_block_parity(coeff_stack: np.ndarray, rank: tuple[int, int], parity: Parity):
-    re, ro = rank
-    rows = np.array([0] * re + [1] * ro)
+    rows = split_parities(rank)
     block = rows[:, None] ^ rows[None, :]
     bad = coeff_stack[:, block != parity]
     if bad.size and float(np.max(np.abs(bad))) != 0.0:
@@ -932,7 +907,6 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
     theta_hat = GrassmannElement.generator(n_hat, n_hat)
     re, ro = conn.rank
     r = re + ro
-    rows_par = np.array([0] * re + [1] * ro)
     adots = [c.derivative() for c in path.a]
 
     a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
@@ -949,20 +923,20 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
                 continue
             coeff = conn.coeffs[i].value_stack(coords_hat, n=n_hat)
             acc = acc + scale_stack(n_hat, factor.comps, coeff, side="right")
-        a_nodes[k], b_nodes[k] = _theta_split_stack(n, acc)
+        a_nodes[k], b_nodes[k] = _theta_split(n, acc)
     return SuperField(grid, n, a_nodes, b_nodes, (re, ro), (re, ro),
                       Parity.ODD, Parity.EVEN)
 
 
-def _theta_split_stack(n: int, stack_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stack over the (n+1)-generator algebra as A + theta_hat*B."""
+def _theta_split(n: int, stack_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a stack over the (n+1)-generator algebra as A + theta_hat*B.
+
+    The component of e_K theta_hat is B's component of K times (-1)**|K|,
+    the sign of moving theta_hat (the highest generator) to the left.
+    """
     dim = 1 << n
-    a = stack_hat[:dim].copy()
-    b = np.empty_like(a)
-    for key in range(dim):
-        sign = -1.0 if key.bit_count() & 1 else 1.0
-        b[key] = sign * stack_hat[dim + key]
-    return a, b
+    signs = ring_parity_signs(n).reshape((dim,) + (1,) * (stack_hat.ndim - 1))
+    return stack_hat[:dim].copy(), signs * stack_hat[dim:]
 
 
 def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperField:
@@ -979,7 +953,6 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
     n = path.n
     re, ro = form.rank
     r = re + ro
-    rows_par = np.array([0] * re + [1] * ro)
     a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
     b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
     for k, t in enumerate(grid.times()):
@@ -1009,18 +982,18 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
 
 
 def superconnection_coefficient(path: SuperPath, sc: Superconnection, grid: Grid,
-                                variant: str = "D", form_scale: float = 1.0) -> SuperField:
+                                variant: str = "D") -> SuperField:
     """Coefficient field of the parallel-section equation along the path.
 
     D-variant: (pullback of the connection contracted with D) minus the
     lifted form part; Q-variant: the Q-contraction plus the lifted form part
     (the relative sign is what makes reversed transport invert the forward
-    one).  ``form_scale`` rescales the form part (adiabatic sweeps).
+    one).
     """
     field = connection_coefficient(path, sc.connection, grid, variant)
     sign = -1.0 if variant == "D" else 1.0
     for w in sc.forms:
-        field = field + lift_pullback(path, w, grid).scaled(sign * form_scale)
+        field = field + lift_pullback(path, w, grid).scaled(sign)
     return field
 
 
@@ -1048,7 +1021,7 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
             for i in range(path.p + path.q)
         ]
         stack = endo.value_stack(coords_hat, n=n_hat)
-        a_nodes[k], b_nodes[k] = _theta_split_stack(n, stack)
+        a_nodes[k], b_nodes[k] = _theta_split(n, stack)
     return SuperField(grid, n, a_nodes, b_nodes, tuple(rank), tuple(rank),
                       Parity.ODD, Parity.EVEN)
 
@@ -1118,23 +1091,7 @@ def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],
             coords_hat = [xs[i].promoted(n_hat) + theta_hat * etas[i].promoted(n_hat)
                           for i in range(path.p)]
             direct = taylor_eval_stack(f, coords_hat, n=n_hat)
-            da, db = _theta_split_scalar(n, direct)
+            da, db = _theta_split(n, direct)
             res = max(res, float(np.max(np.abs(da - lift_a))),
                       float(np.max(np.abs(db - lift_b))))
     return res
-
-
-def _theta_split_scalar(n: int, comps_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dim = 1 << n
-    a = comps_hat[:dim].copy()
-    b = np.empty(dim)
-    for key in range(dim):
-        sign = -1.0 if key.bit_count() & 1 else 1.0
-        b[key] = sign * comps_hat[dim + key]
-    return a, b
-
-
-def _as_matrix_poly(f: PolyMap) -> PolyMap:
-    if f.coeff_shape == ():
-        return PolyMap(f.nvars, {e: np.array([[c]]) for e, c in f.terms.items()})
-    return f

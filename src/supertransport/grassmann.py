@@ -8,6 +8,14 @@ and monomials are kept in canonical strictly increasing order (signs are
 normalized at construction time).  Component 0 is the *body*; the remaining
 nilpotent part is the *soul*.
 
+This module alone knows that layout: the bitmask keys, the grade and sign of
+each key (:func:`grades_of`, :func:`ring_parity_signs`), and the block
+parities of graded matrices (:func:`split_parities`, :func:`total_parities`).
+Every ring product -- of scalars, of matrix stacks, of a stack by a scalar --
+goes through one kernel over the 3**n pairs of disjoint keys, sorted by
+product key so that each product component is one segment sum; the soul
+series of a function at an even time is :func:`soul_series`.
+
 Conventions used everywhere downstream:
 
 * products are written left to right, ``e1*e2 == e12 == -(e2*e1)``;
@@ -51,58 +59,80 @@ class Parity(IntEnum):
         return Parity(a ^ b)
 
 
-def _merge_sign(i: int, j: int) -> float:
-    # Number of transpositions needed to interleave the ascending monomial
-    # of j into the ascending monomial of i.
-    swaps = 0
-    m = i
-    while m:
-        low = m & -m
-        swaps += (j & (low - 1)).bit_count()
-        m ^= low
-    return -1.0 if swaps & 1 else 1.0
-
-
 @lru_cache(maxsize=None)
 def _tables(n: int):
     """Multiplication table of the algebra on ``n`` generators.
 
-    Returns index arrays (I, J, K, S) running over all 3**n pairs of
-    disjoint keys with I|J = K and sign S, plus the per-key grade array.
+    Returns index arrays (I, J, S) over all 3**n pairs of disjoint keys with
+    e_I e_J = S e_{I|J}, sorted by the product key I|J; the offsets where
+    each product key's group of pairs starts; and the per-key grade array.
+    The pairs are built by adding one generator at a time: each pair omits
+    it, puts it in I (passing it over every generator of J, all lower), or
+    puts it in J.
     """
     if not 0 <= n <= MAX_GENERATORS:
         raise DimensionError(f"generator count must be in [0, {MAX_GENERATORS}], got {n}")
-    dim = 1 << n
-    grades = np.array([k.bit_count() for k in range(dim)], dtype=np.int64)
-    li, lj, lk, ls = [], [], [], []
-    for i in range(dim):
-        comp = (dim - 1) ^ i
-        j = comp
-        while True:
-            li.append(i)
-            lj.append(j)
-            lk.append(i | j)
-            ls.append(_merge_sign(i, j))
-            if j == 0:
-                break
-            j = (j - 1) & comp
-    return (
-        np.array(li, dtype=np.intp),
-        np.array(lj, dtype=np.intp),
-        np.array(lk, dtype=np.intp),
-        np.array(ls, dtype=np.float64),
-        grades,
-    )
+    I = np.zeros(1, dtype=np.intp)
+    J = np.zeros(1, dtype=np.intp)
+    S = np.ones(1)
+    grades = np.zeros(1, dtype=np.int64)
+    for g in range(n):
+        bit = 1 << g
+        swaps = 1 - 2 * (grades[J] & 1)
+        I = np.concatenate((I, I | bit, I))
+        J = np.concatenate((J, J, J | bit))
+        S = np.concatenate((S, S * swaps, S))
+        grades = np.concatenate((grades, grades + 1))
+    K = I | J
+    order = np.argsort(K, kind="stable")
+    starts = np.searchsorted(K[order], np.arange(1 << n))
+    tables = (I[order], J[order], S[order], starts, grades)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def grades_of(n: int) -> np.ndarray:
     return _tables(n)[4]
 
 
+@lru_cache(maxsize=None)
+def _odd_keys(n: int) -> np.ndarray:
+    mask = grades_of(n) % 2 == 1
+    mask.setflags(write=False)
+    return mask
+
+
+def ring_parity_signs(n: int) -> np.ndarray:
+    """(-1)**grade per key: the scalar parity involution as a sign vector."""
+    return np.where(_odd_keys(n), -1.0, 1.0)
+
+
+def split_parities(split: Sequence[int]) -> np.ndarray:
+    """0/1 parities of the rows (or columns) of an (even, odd) split."""
+    return np.repeat(np.array([0, 1]), split)
+
+
+def total_parities(n: int, row_split: Sequence[int], col_split: Sequence[int]) -> np.ndarray:
+    """0/1 total parity (grade XOR row XOR column) of each entry of a
+    (2**n, r, c) component stack."""
+    block = split_parities(row_split)[:, None] ^ split_parities(col_split)[None, :]
+    return _odd_keys(n)[:, None, None] ^ block[None, :, :]
+
+
+def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    # Every ring product: gather the factor components of all key pairs,
+    # combine them with ``op``, sign them and sum each product key's group.
+    # No group is empty: key K always has the pairs (0, K) and (K, 0).
+    I, J, S, starts, _ = _tables(n)
+    prod = op(a[I], b[J])
+    prod *= S.reshape((-1,) + (1,) * (prod.ndim - 1))
+    return np.add.reduceat(prod, starts, axis=0)
+
+
 def mul_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Product of two scalar component vectors."""
-    I, J, K, S, _ = _tables(n)
-    return np.bincount(K, weights=S * u[I] * v[J], minlength=1 << n)
+    return _ring_product(n, u, v, np.multiply)
 
 
 def mul_stacks(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,16 +142,7 @@ def mul_stacks(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bookkeeping; the operator product of graded matrices is
     :func:`graded_mul_stacks`.
     """
-    I, J, K, S, _ = _tables(n)
-    prod = np.matmul(a[I], b[J]) * S[:, None, None]
-    out = np.zeros((1 << n, a.shape[1], b.shape[2]))
-    np.add.at(out, K, prod)
-    return out
-
-
-def ring_parity_signs(n: int) -> np.ndarray:
-    """(-1)**grade per key: the scalar parity involution as a sign vector."""
-    return np.where(grades_of(n) % 2 == 0, 1.0, -1.0)
+    return _ring_product(n, a, b, np.matmul)
 
 
 def graded_mul_stacks(n: int, a: np.ndarray, b: np.ndarray,
@@ -147,26 +168,31 @@ def graded_mul_stacks(n: int, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def graded_scale_right_stack(n: int, m: np.ndarray, u: np.ndarray,
-                             rows_par: np.ndarray, cols_par: np.ndarray) -> np.ndarray:
-    """Graded product of a matrix stack with a scalar on the right."""
-    off = (rows_par[:, None] ^ cols_par[None, :]).astype(np.float64)
-    out = scale_stack(n, u, m * (1.0 - off)[None], side="right")
-    if np.any(off):
-        u_eps = u * ring_parity_signs(n)
-        out = out + scale_stack(n, u_eps, m * off[None], side="right")
-    return out
-
-
 def scale_stack(n: int, u: np.ndarray, m: np.ndarray, side: str = "left") -> np.ndarray:
     """Multiply a matrix stack by a scalar component vector on one side."""
-    I, J, K, S, _ = _tables(n)
+    u = u[:, None, None]
     if side == "left":
-        prod = (S * u[I])[:, None, None] * m[J]
-    else:
-        prod = (S * u[J])[:, None, None] * m[I]
-    out = np.zeros_like(m)
-    np.add.at(out, K, prod)
+        return _ring_product(n, u, m, np.multiply)
+    return _ring_product(n, m, u, np.multiply)
+
+
+def soul_series(n: int, soul: np.ndarray, derivative: Callable[[int], np.ndarray]):
+    """Terminating Taylor tail sum_{k>=1} soul**k / k! * derivative(k).
+
+    ``derivative(k)`` is a scalar component vector or a matrix stack and is
+    requested for k = 1, 2, ... in turn, only while soul**k is nonzero; the
+    series stops at the first vanishing power (at the latest past k = n).
+    Returns 0.0 for a zero soul.  The soul is even, so the side it
+    multiplies from is immaterial.
+    """
+    out = 0.0
+    power = soul
+    for k in range(1, n + 1):
+        if not np.any(power):
+            break
+        coeff, d = power / math.factorial(k), derivative(k)
+        out = out + (mul_components(n, coeff, d) if d.ndim == 1 else scale_stack(n, coeff, d))
+        power = mul_components(n, power, soul)
     return out
 
 
@@ -262,19 +288,16 @@ class GrassmannElement:
         return GrassmannElement(self.n, comps)
 
     def even_part(self) -> "GrassmannElement":
-        mask = grades_of(self.n) % 2 == 0
-        return GrassmannElement(self.n, np.where(mask, self.comps, 0.0))
+        return GrassmannElement(self.n, np.where(_odd_keys(self.n), 0.0, self.comps))
 
     def odd_part(self) -> "GrassmannElement":
-        mask = grades_of(self.n) % 2 == 1
-        return GrassmannElement(self.n, np.where(mask, self.comps, 0.0))
+        return GrassmannElement(self.n, np.where(_odd_keys(self.n), self.comps, 0.0))
 
     @property
     def parity(self) -> Parity | None:
         """Parity if homogeneous (zero counts as either), else None."""
-        g = grades_of(self.n)
-        has_even = bool(np.any(self.comps[g % 2 == 0] != 0.0))
-        has_odd = bool(np.any(self.comps[g % 2 == 1] != 0.0))
+        has_even = not self.is_odd()
+        has_odd = not self.is_even()
         if has_even and has_odd:
             return None
         if has_odd:
@@ -282,15 +305,16 @@ class GrassmannElement:
         return Parity.EVEN
 
     def is_even(self) -> bool:
-        return self.odd_part().norm() == 0.0
+        """No nonzero (or NaN) odd component."""
+        return not np.any(self.comps[_odd_keys(self.n)] != 0.0)
 
     def is_odd(self) -> bool:
-        return self.even_part().norm() == 0.0
+        """No nonzero (or NaN) even component."""
+        return not np.any(self.comps[~_odd_keys(self.n)] != 0.0)
 
     def parity_involution(self) -> "GrassmannElement":
         """The algebra automorphism that negates the odd part."""
-        signs = np.where(grades_of(self.n) % 2 == 0, 1.0, -1.0)
-        return GrassmannElement(self.n, self.comps * signs)
+        return GrassmannElement(self.n, self.comps * ring_parity_signs(self.n))
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.comps)))
@@ -594,7 +618,7 @@ def taylor_eval_stack(f, xs: Sequence[GrassmannElement], order: int | None = Non
     for x in xs:
         if x.n != n:
             raise DimensionError("taylor arguments live over different algebras")
-        if x.odd_part().norm() != 0.0:
+        if not x.is_even():
             raise ParityError("taylor arguments must be even")
     bodies = np.array([x.body for x in xs])
     max_total = n if order is None else order
@@ -678,25 +702,10 @@ class GradedMatrix:
         self.col_split = col_split
         self.parity = parity
         if check and parity is not None:
-            bad = self._parity_violation()
+            violations = np.abs(comps[total_parities(n, row_split, col_split) != parity])
+            bad = float(violations.max()) if violations.size else 0.0
             if bad != 0.0:
                 raise ParityError(f"matrix violates declared parity by {bad}")
-
-    # -- helpers -----------------------------------------------------------
-
-    def _block_parity(self) -> np.ndarray:
-        re, ro = self.row_split
-        ce, co = self.col_split
-        rows = np.array([0] * re + [1] * ro)
-        cols = np.array([0] * ce + [1] * co)
-        return rows[:, None] ^ cols[None, :]
-
-    def _parity_violation(self) -> float:
-        g = grades_of(self.n) % 2
-        want = self.parity ^ self._block_parity()  # (r, c)
-        bad = g[:, None, None] != want[None, :, :]
-        violations = np.abs(self.comps)[bad]
-        return float(violations.max()) if violations.size else 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -775,12 +784,6 @@ class GradedMatrix:
         return GradedMatrix(self.n, -self.comps, self.row_split, self.col_split,
                             self.parity, check=False)
 
-    def _row_parities(self) -> np.ndarray:
-        return np.array([0] * self.row_split[0] + [1] * self.row_split[1])
-
-    def _col_parities(self) -> np.ndarray:
-        return np.array([0] * self.col_split[0] + [1] * self.col_split[1])
-
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Operator product in the graded algebra (odd blocks anticommute
         with odd scalars of the right factor)."""
@@ -788,7 +791,7 @@ class GradedMatrix:
         if self.col_split != other.row_split:
             raise DimensionError("block structure mismatch in product")
         comps = graded_mul_stacks(self.n, self.comps, other.comps,
-                                  self._row_parities(), self._col_parities())
+                                  split_parities(self.row_split), split_parities(self.col_split))
         return GradedMatrix(self.n, comps, self.row_split, other.col_split,
                             Parity.combine(self.parity, other.parity), check=False)
 
@@ -804,25 +807,9 @@ class GradedMatrix:
         return GradedMatrix(self.n, comps, self.row_split, self.col_split,
                             Parity.combine(u.parity, self.parity), check=False)
 
-    def scale_right(self, u) -> "GradedMatrix":
-        """Graded product with a scalar on the right: the off-diagonal
-        blocks pick up the parity involution of the scalar."""
-        if isinstance(u, (int, float)):
-            return self.scale_left(u)
-        if u.n != self.n:
-            raise DimensionError("scalar lives over a different algebra")
-        off = (self._row_parities()[:, None] ^ self._col_parities()[None, :]).astype(np.float64)
-        u_eps = GrassmannElement(self.n, u.comps * ring_parity_signs(self.n))
-        comps = (scale_stack(self.n, u.comps, self.comps * (1.0 - off)[None], side="right")
-                 + scale_stack(self.n, u_eps.comps, self.comps * off[None], side="right"))
-        return GradedMatrix(self.n, comps, self.row_split, self.col_split,
-                            Parity.combine(self.parity, u.parity), check=False)
-
     def parity_involution(self) -> "GradedMatrix":
         """Negate the total-parity-odd part (grade parity XOR block parity)."""
-        g = grades_of(self.n) % 2
-        total = g[:, None, None] ^ self._block_parity()[None, :, :]
-        signs = np.where(total == 0, 1.0, -1.0)
+        signs = 1.0 - 2.0 * total_parities(self.n, self.row_split, self.col_split)
         return GradedMatrix(self.n, self.comps * signs, self.row_split,
                             self.col_split, self.parity, check=False)
 
@@ -840,7 +827,7 @@ class GradedMatrix:
             raise DimensionError("vector length mismatch")
         vec = np.stack([v.comps for v in psi], axis=1)[:, :, None]
         out = graded_mul_stacks(self.n, self.comps, vec,
-                                self._row_parities(), self._col_parities())
+                                split_parities(self.row_split), split_parities(self.col_split))
         return [GrassmannElement(self.n, out[:, i, 0].copy()) for i in range(self.shape[0])]
 
     def norm(self) -> float:
@@ -931,7 +918,7 @@ class AlgebraMap:
         for im in images:
             if im.n != n_to:
                 raise DimensionError("generator image lives over the wrong algebra")
-            if im.even_part().norm() != 0.0:
+            if not im.is_odd():
                 raise ParityError("generator images must be odd")
         self.n_from = n_from
         self.n_to = n_to

@@ -27,7 +27,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParityError, ResolutionError
-from .grassmann import GradedMatrix, GrassmannElement, Parity, scale_stack
+from .grassmann import (
+    GradedMatrix,
+    GrassmannElement,
+    Parity,
+    scale_stack,
+    soul_series,
+    total_parities,
+)
 
 # Fourth-order first-derivative stencils on a uniform grid.
 _INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -45,9 +52,9 @@ class SuperPoint:
     def __post_init__(self):
         if self.t.n != self.theta.n:
             raise DimensionError("t and theta live over different algebras")
-        if self.t.odd_part().norm() != 0.0:
+        if not self.t.is_even():
             raise ParityError("time coordinate must be even")
-        if self.theta.even_part().norm() != 0.0:
+        if not self.theta.is_odd():
             raise ParityError("theta coordinate must be odd")
         if not np.isfinite(self.t.body):
             raise DomainError("time coordinate has non-finite body")
@@ -261,33 +268,22 @@ class SuperField:
                 self._dcache[key] = fd4_stack(self._derivative_stack(which, order - 1), self.grid.h)
         return self._dcache[key]
 
-    def _taylor_stack_at(self, which: str, t: GrassmannElement,
-                         max_order: int | None = None) -> np.ndarray:
-        if t.odd_part().norm() != 0.0:
+    def _taylor_stack_at(self, which: str, t: GrassmannElement) -> np.ndarray:
+        if not t.is_even():
             raise ParityError("time argument must be even")
-        body = t.body
-        soul = t.soul()
-        comps = interpolate_stack(self.grid, self._derivative_stack(which, 0), body)
-        if soul.norm() != 0.0:
-            limit = self.n if max_order is None else max_order
-            power = GrassmannElement.one(self.n)
-            fact = 1.0
-            for k in range(1, limit + 1):
-                power = power * soul
-                fact *= k
-                if power.norm() == 0.0:
-                    break
-                dstack = interpolate_stack(self.grid, self._derivative_stack(which, k), body)
-                comps = comps + scale_stack(self.n, power.comps / fact, dstack, side="left")
-        return comps
 
-    def a_taylor_at(self, t: GrassmannElement, max_order: int | None = None) -> GradedMatrix:
+        def at_body(k: int) -> np.ndarray:
+            return interpolate_stack(self.grid, self._derivative_stack(which, k), t.body)
+
+        return at_body(0) + soul_series(self.n, t.soul().comps, at_body)
+
+    def a_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
         """Evaluate the theta^0 part at an even time with nilpotent soul."""
-        return GradedMatrix(self.n, self._taylor_stack_at("a", t, max_order),
+        return GradedMatrix(self.n, self._taylor_stack_at("a", t),
                             self.row_split, self.col_split, self.a_parity, check=False)
 
-    def b_taylor_at(self, t: GrassmannElement, max_order: int | None = None) -> GradedMatrix:
-        return GradedMatrix(self.n, self._taylor_stack_at("b", t, max_order),
+    def b_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
+        return GradedMatrix(self.n, self._taylor_stack_at("b", t),
                             self.row_split, self.col_split, self.b_parity, check=False)
 
     def value_at(self, point: SuperPoint) -> GradedMatrix:
@@ -379,11 +375,8 @@ class SuperField:
         for stack, parity in ((self.a, self.a_parity), (self.b, self.b_parity)):
             if parity is None:
                 continue
-            probe = GradedMatrix(self.n, stack[0], self.row_split, self.col_split, None, check=False)
-            g = np.array([k.bit_count() % 2 for k in range(1 << self.n)])
-            want = parity ^ probe._block_parity()
-            bad = g[None, :, None, None] != want[None, None, :, :]
-            vals = np.abs(stack)[np.broadcast_to(bad, stack.shape)]
+            bad = total_parities(self.n, self.row_split, self.col_split) != parity
+            vals = np.abs(stack[:, bad])
             if vals.size:
                 res = max(res, float(vals.max()))
         return res

@@ -55,7 +55,10 @@ from .grassmann import (
     Parity,
     graded_mul_stacks,
     scale_stack,
+    soul_series,
     split_generator,
+    split_parities,
+    total_parities,
 )
 from .superfield import Grid, SuperField, SuperPoint, fd4_stack, interpolate_stack
 
@@ -99,10 +102,6 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
-def _row_parities(split: tuple[int, int]) -> np.ndarray:
-    return np.array([0] * split[0] + [1] * split[1])
-
-
 def _reduced_matrix_stacks(field: SuperField, variant: str) -> np.ndarray:
     """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant).
 
@@ -110,11 +109,8 @@ def _reduced_matrix_stacks(field: SuperField, variant: str) -> np.ndarray:
     involution.
     """
     n = field.n
-    re, ro = field.row_split
-    g = np.array([k.bit_count() % 2 for k in range(1 << n)])
-    rows = _row_parities((re, ro))
-    block = rows[:, None] ^ rows[None, :]
-    eps_sign = np.where((g[:, None, None] ^ block[None, :, :]) == 0, 1.0, -1.0)
+    rows = split_parities(field.row_split)
+    eps_sign = 1.0 - 2.0 * total_parities(n, field.row_split, field.row_split)
     out = np.empty_like(field.a)
     for k in range(field.grid.nodes):
         C = field.a[k]
@@ -151,7 +147,7 @@ def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
 
     n = field.n
     M = _reduced_matrix_stacks(field, variant)
-    rows = _row_parities(field.row_split)
+    rows = split_parities(field.row_split)
     r = field.a.shape[2]
     X = np.zeros((1 << n, r, r))
     X[0] = np.eye(r)
@@ -170,62 +166,44 @@ def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
         X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         idx += direction
 
-    soul = end.t.soul()
-    if soul.norm() != 0.0:
-        X = _taylor_endpoint(field, M, X, body, soul, n)
+    X = X + _taylor_endpoint(field, M, X, body, end.t.soul().comps)
 
     C_end = field.a_taylor_at(end.t)
     B_stack = -graded_mul_stacks(n, C_end.comps, X, rows, rows)
     map_stack = X + scale_stack(n, end.theta.comps, B_stack, side="left")
-    parity = _infer_parity_stack(n, map_stack, field.row_split, field.col_split)
+    total = total_parities(n, field.row_split, field.col_split)
+    parity = next((p for p in Parity if not np.any(map_stack[total != p])), None)
     matrix = GradedMatrix(n, map_stack, field.row_split, field.col_split, parity, check=False)
     if psi0 is not None:
         return matrix.apply(psi0)
     return matrix
 
 
-def _infer_parity_stack(n: int, stack: np.ndarray, row_split, col_split) -> Parity | None:
-    g = np.array([k.bit_count() % 2 for k in range(1 << n)])
-    rows = np.array([0] * row_split[0] + [1] * row_split[1])
-    cols = np.array([0] * col_split[0] + [1] * col_split[1])
-    block = rows[:, None] ^ cols[None, :]
-    for parity in (Parity.EVEN, Parity.ODD):
-        bad = (g[:, None, None] ^ block[None, :, :]) != parity
-        if not np.any(stack[bad]):
-            return parity
-    return None
-
-
 def _taylor_endpoint(field: SuperField, M: np.ndarray, X: np.ndarray, body: float,
-                     soul: GrassmannElement, n: int) -> np.ndarray:
-    """Terminating Taylor series of the fundamental solution in the soul.
+                     soul: np.ndarray):
+    """Soul tail of the fundamental solution's terminating Taylor series.
 
     Derivatives of the solution are generated from the equation
     X' = M X by the Leibniz recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j);
     derivatives of M come from grid stencils.
     """
-    grid = field.grid
-    rows = _row_parities(field.row_split)
+    n = field.n
+    rows = split_parities(field.row_split)
     m_stacks = [M]
     x_derivs = [X]
-    power = GrassmannElement.one(n)
-    out = X.copy()
-    fact = 1.0
-    for k in range(1, n + 1):
-        power = power * soul
-        fact *= k
-        if power.norm() == 0.0:
-            break
+
+    def x_derivative(k: int) -> np.ndarray:
         while len(m_stacks) < k:
-            m_stacks.append(fd4_stack(m_stacks[-1], grid.h))
+            m_stacks.append(fd4_stack(m_stacks[-1], field.grid.h))
         # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j)
         acc = np.zeros_like(X)
         for j in range(k):
-            Mj = interpolate_stack(grid, m_stacks[j], body)
+            Mj = interpolate_stack(field.grid, m_stacks[j], body)
             acc = acc + math.comb(k - 1, j) * graded_mul_stacks(n, Mj, x_derivs[k - 1 - j], rows, rows)
         x_derivs.append(acc)
-        out = out + scale_stack(n, power.comps / fact, acc, side="left")
-    return out
+        return acc
+
+    return soul_series(n, soul, x_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +367,6 @@ def reparametrize(path: SuperPath, r: Curve, new_t_end: float,
         if v.body <= 0.0:
             raise OrientationError(f"reparametrization has r'({u}) = {v.body} <= 0")
     return path.reparametrized(r, new_t_end)
-
-
-def rescaling_curve(n: int, lam: float) -> Curve:
-    """The rescaling r(u) = u / lam used by adiabatic sweeps."""
-    if lam <= 0.0:
-        raise DomainError("rescaling parameter must be positive")
-    return Curve.polynomial(n, [0.0, 1.0 / lam])
-
-
-def rescaled_endpoint(end: SuperPoint, lam: float) -> SuperPoint:
-    """Endpoint of the rescaled interval: (lam*t, sqrt(lam)*theta)."""
-    return SuperPoint(end.t * lam, end.theta * math.sqrt(lam))
 
 
 @dataclass(frozen=True)

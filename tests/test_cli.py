@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import supertransport.cli as cli
 from supertransport.cli import main
 from supertransport.grassmann import GradedMatrix, GrassmannElement, Parity, graded_expm
 from supertransport.transport import TransportMap
@@ -68,6 +70,23 @@ class TestErrors:
 
     def test_missing_file_exit_1(self):
         assert run_cli(["transport", "--config", "/no/such/file.json"]) == 1
+
+    def test_missing_config_key_exit_1(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "default.json").read_text())
+        cfg["path"] = {"kind": "circle", "radius": 0.5, "omega": 1.0, "eta": [0.0, 0.0]}
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["transport", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and "center" in err["message"]
+
+    def test_library_key_error_is_not_a_config_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("raised inside the library")
+
+        monkeypatch.setattr(cli, "sp", broken)
+        with pytest.raises(KeyError, match="inside the library"):
+            run_cli(["transport", "--config", str(CONFIGS / "default.json")])
 
     def test_numerical_error_exit_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "default.json").read_text())

@@ -15,6 +15,9 @@ from supertransport.grassmann import (
     PolyMap,
     SmoothMap,
     graded_expm,
+    mul_stacks,
+    scale_stack,
+    soul_series,
     split_generator,
     taylor_eval,
 )
@@ -24,6 +27,7 @@ from reference import (
     expm_oracle,
     expm_series_oracle,
     from_element,
+    gadd,
     gmul,
 )
 
@@ -61,9 +65,11 @@ class TestScalarAlgebra:
         with pytest.raises(DimensionError):
             GrassmannElement.one(2) * GrassmannElement.one(3)
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @settings(max_examples=60, deadline=None)
-    @given(dyadic_elements(3), dyadic_elements(3), dyadic_elements(3))
-    def test_associative_and_matches_reference(self, u, v, w):
+    @given(data=st.data())
+    def test_associative_and_matches_reference(self, n, data):
+        u, v, w = (data.draw(dyadic_elements(n)) for _ in range(3))
         assert (u * v) * w == u * (v * w)
         ref = gmul(from_element(u), from_element(v))
         assert dict_distance(ref, from_element(u * v)) == 0.0
@@ -93,6 +99,12 @@ class TestScalarAlgebra:
         even = GrassmannElement.from_terms(2, {(): 1.0, (1, 2): 1.0})
         assert even.parity_involution() == even
 
+    def test_parity_guards_count_nan_as_nonzero(self):
+        mixed = GrassmannElement.from_terms(2, {(): 1.0, (1,): float("nan")})
+        assert not mixed.is_even() and not mixed.is_odd()
+        assert GrassmannElement.from_terms(2, {(): float("nan")}).is_even()
+        assert GrassmannElement.from_terms(2, {(2,): 3.0}).is_odd()
+
     @settings(max_examples=30, deadline=None)
     @given(dyadic_elements(3), dyadic_elements(3))
     def test_involution_is_automorphism(self, u, v):
@@ -115,6 +127,53 @@ class TestScalarAlgebra:
         assert b.terms() == {(1,): -2.0}
         theta = GrassmannElement.generator(3, 3)
         assert (a + theta * b) == u
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_stack_kernels_match_reference(n, rng):
+    dim = 1 << n
+    a = rng.uniform(-1, 1, (dim, 2, 3))
+    b = rng.uniform(-1, 1, (dim, 3, 2))
+    u = rng.uniform(-1, 1, dim)
+
+    def ref(comps):
+        return from_element(GrassmannElement(n, comps))
+
+    prod = mul_stacks(n, a, b)
+    for i in range(2):
+        for j in range(2):
+            want = {}
+            for k in range(3):
+                want = gadd(want, gmul(ref(a[:, i, k]), ref(b[:, k, j])))
+            assert dict_distance(want, ref(prod[:, i, j])) < 1e-14
+    left = scale_stack(n, u, a, side="left")
+    right = scale_stack(n, u, a, side="right")
+    for i in range(2):
+        for j in range(3):
+            assert dict_distance(gmul(ref(u), ref(a[:, i, j])), ref(left[:, i, j])) < 1e-14
+            assert dict_distance(gmul(ref(a[:, i, j]), ref(u)), ref(right[:, i, j])) < 1e-14
+
+
+def test_soul_series_stops_at_first_vanishing_power():
+    n = 4
+    asked = []
+
+    def derivative(k):
+        asked.append(k)
+        return np.full(1 << n, float(k))
+
+    e12 = GrassmannElement.monomial(n, (1, 2))
+    e34 = GrassmannElement.monomial(n, (3, 4))
+    # (e12 + e34)^2 / 2! = e1234, and the cube vanishes
+    got = soul_series(n, (e12 + e34).comps, derivative)
+    assert asked == [1, 2]
+    one = np.ones(1 << n)
+    want = (e12 + e34) * GrassmannElement(n, one) + e12 * e34 * GrassmannElement(n, 2.0 * one)
+    assert np.array_equal(got, want.comps)
+    asked.clear()
+    soul_series(n, e12.comps, derivative)
+    assert asked == [1]
+    assert soul_series(n, np.zeros(1 << n), derivative) == 0.0 and asked == [1]
 
 
 class TestTaylor:
