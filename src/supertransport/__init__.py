@@ -26,8 +26,9 @@ from .grassmann import (
     Parity,
     PolyMap,
     SmoothMap,
+    adjoin_theta,
     graded_expm,
-    split_generator,
+    split_theta,
     taylor_eval,
     taylor_eval_stack,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ParityError, ResolutionError
 from .geometry import SuperVectorField
-from .grassmann import GrassmannElement, Parity
+from .grassmann import GrassmannElement, Parity, adjoin_theta, soul_series, split_theta
 from .superfield import SuperPoint
 
 _BLOWUP = 1e12
@@ -108,24 +108,18 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     return Trajectory(times, states, n)
 
 
+def _adjoined(n: int, G: np.ndarray, H: np.ndarray) -> list[GrassmannElement]:
+    # the coordinates G^i + theta*H^i, theta adjoined as generator n+1
+    return [GrassmannElement(n + 1, adjoin_theta(n, g, h)) for g, h in zip(G, H)]
+
+
 def _odd_rhs(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
     """theta-component of a(G + theta*a(G)), theta adjoined as generator n+1."""
-    from .grassmann import split_generator
-
     coords = [GrassmannElement(n, state[i]) for i in range(state.shape[0])]
-    h_vals = field.coefficient_values(coords)
-    n_hat = n + 1
-    theta = GrassmannElement.generator(n_hat, n_hat)
-    coords_hat = [c.promoted(n_hat) + theta * h.promoted(n_hat)
-                  for c, h in zip(coords, h_vals)]
-    out = np.empty_like(state)
-    for i, a in enumerate(field.coeffs):
-        val = a.value(coords_hat)
-        _, b = split_generator(val, n_hat)
-        # the theta-free part of val is a_i(G) = H^i by construction
-        comps = np.zeros(1 << n)
-        comps[:] = b.comps[: 1 << n]
-        out[i] = comps
+    h_vals = np.stack([v.comps for v in field.coefficient_values(coords)])
+    coords_hat = _adjoined(n, state, h_vals)
+    # the theta-free part of each value is a_i(G) = H^i by construction
+    out = np.stack([split_theta(n, a.value_stack(coords_hat))[1] for a in field.coeffs])
     if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
         raise DomainError("flow blew up or left the admissible domain")
     return out
@@ -137,7 +131,7 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
 
     Returns G(t) + theta*a(G(t)) with G the solution of the induced even
     system; a soul in the time coordinate is handled by the terminating
-    Taylor series with derivatives taken from the right-hand side.
+    Taylor series, whose k-th derivative is (Y^k x)(G) with Y = X^2.
     """
     if field.parity is not Parity.ODD:
         raise ParityError("flow_odd integrates odd vector fields")
@@ -155,23 +149,29 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
         _, states = _integrate(rhs, state0, body, steps)
         G_end = states[-1]
 
-    soul = end.t.soul()
-    if soul.norm() != 0.0:
-        # Taylor in the soul: first derivative is the RHS itself, higher ones
-        # via finite differences of the RHS along the flow direction.
-        from .grassmann import mul_components
+    soul = end.t.soul().comps
+    if np.any(soul):
+        # G' = (Y x)(G) for the even field Y = X^2, so the k-th derivative
+        # at the body time is (Y^k x)(G).  The first is the right-hand side
+        # itself, which also takes family-valued coefficients; Y is built
+        # only when a higher one is asked for.
+        G_body = [GrassmannElement(n, g) for g in G_end]
 
-        power = soul.comps.copy()
-        deriv = rhs(body, G_end)
-        G_t = G_end + np.stack([mul_components(n, power, deriv[i])
-                                for i in range(deriv.shape[0])])
-        power2 = mul_components(n, soul.comps, soul.comps)
-        if np.any(power2):
-            eps = 1e-4
-            d2 = (rhs(body, G_end + eps * deriv) - rhs(body, G_end - eps * deriv)) / (2 * eps)
-            G_t = G_t + 0.5 * np.stack([mul_components(n, power2, d2[i])
-                                        for i in range(d2.shape[0])])
-        G_end = G_t
+        def higher_jets():
+            Y = field.squared()
+            fs = Y.coeffs
+            while True:
+                fs = [Y.apply(f) for f in fs]
+                yield fs
+
+        jets = higher_jets()
+
+        def derivative(k: int) -> np.ndarray:
+            if k == 1:
+                return rhs(body, G_end).T[:, :, None]
+            return np.stack([f.value_stack(G_body) for f in next(jets)], axis=1)[:, :, None]
+
+        G_end = G_end + soul_series(n, soul, derivative)[:, :, 0].T
 
     G = [GrassmannElement(n, G_end[i]) for i in range(G_end.shape[0])]
     H = field.coefficient_values(G)
@@ -187,7 +187,6 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     evaluated along alpha (theta adjoined as a generator).  Time derivatives
     of G use the same fourth-order stencils as the field calculus.
     """
-    from .grassmann import split_generator
     from .superfield import fd4_stack
 
     if field.parity is not Parity.ODD:
@@ -204,17 +203,12 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
         H_states[k] = np.stack([v.comps for v in vals])
     Gdot = fd4_stack(G_states, times[1] - times[0])
 
-    n_hat = n + 1
-    theta = GrassmannElement.generator(n_hat, n_hat)
     res = 0.0
     for k in range(len(times)):
-        coords_hat = [GrassmannElement(n, G_states[k, i]).promoted(n_hat)
-                      + theta * GrassmannElement(n, H_states[k, i]).promoted(n_hat)
-                      for i in range(ncoords)]
+        coords_hat = _adjoined(n, G_states[k], H_states[k])
         for i, a in enumerate(field.coeffs):
-            val = a.value(coords_hat)
-            a_part, b_part = split_generator(val, n_hat)
+            a_part, b_part = split_theta(n, a.value_stack(coords_hat))
             # D(alpha^i) = H^i + theta * dG^i/dt must equal a_i(alpha)
-            res = max(res, float(np.max(np.abs(a_part.comps[: 1 << n] - H_states[k, i]))))
-            res = max(res, float(np.max(np.abs(b_part.comps[: 1 << n] - Gdot[k, i]))))
+            res = max(res, float(np.max(np.abs(a_part - H_states[k, i]))))
+            res = max(res, float(np.max(np.abs(b_part - Gdot[k, i]))))
     return res

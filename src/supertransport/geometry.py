@@ -15,7 +15,14 @@ with a trivialized rank re|ro bundle over it.  The building blocks are
 
 Sign conventions: theta-expansions are kept in left-normal form (theta
 written to the left), and every commutation sign is derived from Grassmann
-multiplication by adjoining theta as one extra generator during assembly.
+multiplication by adjoining theta as one extra generator
+(:func:`~supertransport.grassmann.adjoin_theta` and
+:func:`~supertransport.grassmann.split_theta`).  One private assembler
+evaluates data at the theta-adjoined path coordinates node by node and
+splits the result; `connection_coefficient`, `endomorphism_term` and
+`lift_pullback` are each one call to it.  `lift_pullback` takes the route
+through the odd tangent bundle R^{p|p}: the form becomes the odd-monomial
+function dx^I -> z^I, evaluated along `odd_tangent_lift` of the path.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     PolyMap,
+    adjoin_theta,
     mul_components,
-    ring_parity_signs,
+    parities_present,
     scale_stack,
     soul_series,
     split_parities,
+    split_theta,
     taylor_eval_stack,
 )
 from .superfield import Grid, SuperField, SuperPoint
@@ -382,31 +391,21 @@ class GrassmannPoly:
             pos = J.index(j)
             rest = J[:pos] + J[pos + 1:]
             sign = -1.0 if pos % 2 else 1.0
-            if self.lambda_n is not None:
-                pay = self._payload_parity(f)
-                if pay is None:
-                    raise ParityError("odd derivative needs a homogeneous family payload")
-                sign *= -1.0 if pay else 1.0
+            pay = self._payload_parities(f)
+            if len(pay) > 1:
+                raise ParityError("odd derivative needs a homogeneous family payload")
+            sign *= -1.0 if 1 in pay else 1.0
             g = f * sign
             terms[rest] = terms[rest] + g if rest in terms else g
         if not terms:
             return GrassmannPoly.zero(self.p, self.q, self.coeff_shape, self.rank)
         return GrassmannPoly(self.p, self.q, terms, self.lambda_n, self.rank)
 
-    def _payload_parity(self, f) -> int | None:
-        from .grassmann import grades_of
-
+    def _payload_parities(self, f) -> set[int]:
+        """Parities (0/1) present in the family payload of a coefficient map."""
         if self.lambda_n is None:
-            return 0
-        g = grades_of(self.lambda_n) % 2
-        seen: set[int] = set()
-        for coeff in f.terms.values():
-            arr = np.atleast_1d(np.asarray(coeff, dtype=float))
-            for m in np.nonzero(arr)[0]:
-                seen.add(int(g[m]))
-        if len(seen) > 1:
-            return None
-        return seen.pop() if seen else 0
+            return {0}
+        return set().union(*(parities_present(self.lambda_n, c) for c in f.terms.values()))
 
     def __add__(self, other: "GrassmannPoly") -> "GrassmannPoly":
         if self.lambda_n != other.lambda_n:
@@ -444,20 +443,7 @@ class GrassmannPoly:
 
     def term_parities(self) -> set[int]:
         """Parities (0/1) present among the terms, payload included."""
-        from .grassmann import grades_of
-
-        out: set[int] = set()
-        for J, f in self.terms.items():
-            base = len(J) % 2
-            if self.lambda_n is None:
-                out.add(base)
-            else:
-                g = grades_of(self.lambda_n) % 2
-                for coeff in f.terms.values():
-                    arr = np.atleast_1d(np.asarray(coeff, dtype=float))
-                    for m in np.nonzero(arr)[0]:
-                        out.add((base + int(g[m])) % 2)
-        return out
+        return {(len(J) + g) % 2 for J, f in self.terms.items() for g in self._payload_parities(f)}
 
 
 def _merge_odd_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
@@ -887,6 +873,31 @@ class Superconnection:
 # ---------------------------------------------------------------------------
 
 
+def _adjoined_coordinates(path: SuperPath, t: float) -> list[GrassmannElement]:
+    """The coordinates a_i(t) + theta*b_i(t) with theta adjoined as one extra
+    generator."""
+    n = path.n
+    return [GrassmannElement(n + 1, adjoin_theta(n, a(t).comps, b(t).comps))
+            for a, b in zip(path.a, path.b)]
+
+
+def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
+              parities: tuple[Parity, Parity],
+              value_hat: Callable[[float, list[GrassmannElement]], np.ndarray]) -> SuperField:
+    """The field whose value at each node t is ``value_hat(t, coords)``.
+
+    ``coords`` are the path coordinates with theta adjoined; the (2**(n+1),
+    r, r) stack returned is split into its theta^0 and theta^1 parts.
+    """
+    n = path.n
+    r = rank[0] + rank[1]
+    a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
+    b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
+    for k, t in enumerate(grid.times()):
+        a_nodes[k], b_nodes[k] = split_theta(n, value_hat(t, _adjoined_coordinates(path, t)))
+    return SuperField(grid, n, a_nodes, b_nodes, tuple(rank), tuple(rank), *parities)
+
+
 def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
                            variant: str = "D") -> SuperField:
     """The End-valued field obtained by contracting the pulled-back
@@ -902,83 +913,41 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
     if variant not in ("D", "Q"):
         raise ValueError("variant must be 'D' or 'Q'")
     n = path.n
-    n_hat = n + 1
     theta_sign = 1.0 if variant == "D" else -1.0
-    theta_hat = GrassmannElement.generator(n_hat, n_hat)
-    re, ro = conn.rank
-    r = re + ro
+    r = conn.rank[0] + conn.rank[1]
     adots = [c.derivative() for c in path.a]
 
-    a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    for k, t in enumerate(grid.times()):
-        coords_hat = [
-            path.a[i](t).promoted(n_hat) + theta_hat * path.b[i](t).promoted(n_hat)
-            for i in range(path.p + path.q)
-        ]
-        acc = np.zeros((1 << n_hat, r, r))
-        for i in range(path.p + path.q):
-            factor = path.b[i](t).promoted(n_hat) + theta_sign * (theta_hat * adots[i](t).promoted(n_hat))
-            if factor.norm() == 0.0:
+    def value_hat(t: float, coords: list[GrassmannElement]) -> np.ndarray:
+        acc = np.zeros((2 << n, r, r))
+        for coeff, b, adot in zip(conn.coeffs, path.b, adots):
+            b_t, adot_t = b(t).comps, adot(t).comps
+            if not (np.any(b_t) or np.any(adot_t)):
                 continue
-            coeff = conn.coeffs[i].value_stack(coords_hat, n=n_hat)
-            acc = acc + scale_stack(n_hat, factor.comps, coeff, side="right")
-        a_nodes[k], b_nodes[k] = _theta_split(n, acc)
-    return SuperField(grid, n, a_nodes, b_nodes, (re, ro), (re, ro),
-                      Parity.ODD, Parity.EVEN)
+            factor = adjoin_theta(n, b_t, theta_sign * adot_t)
+            acc = acc + scale_stack(n + 1, factor, coeff.value_stack(coords, n=n + 1),
+                                    side="right")
+        return acc
 
-
-def _theta_split(n: int, stack_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stack over the (n+1)-generator algebra as A + theta_hat*B.
-
-    The component of e_K theta_hat is B's component of K times (-1)**|K|,
-    the sign of moving theta_hat (the highest generator) to the left.
-    """
-    dim = 1 << n
-    signs = ring_parity_signs(n).reshape((dim,) + (1,) * (stack_hat.ndim - 1))
-    return stack_hat[:dim].copy(), signs * stack_hat[dim:]
+    return _assemble(path, grid, conn.rank, (Parity.ODD, Parity.EVEN), value_hat)
 
 
 def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperField:
     """Pull a form back along the odd-tangent lift of the path.
 
-    The theta^0 part evaluates the form on the odd component data
-    (dx^i -> b_i(t)); the theta^1 part does the same with the exterior
-    derivative of the form.  Works for ordinary targets (q = 0).
+    On the odd tangent bundle R^{p|p} the form is the function with dx^I
+    turned into the odd monomial z^I; it is evaluated along
+    :func:`odd_tangent_lift` of the path.  Its theta^0 part is the form on
+    the odd component data (dx^i -> b_i(t)), its theta^1 part the same for
+    the exterior derivative.  Works for ordinary targets (q = 0).
     """
     if path.q != 0:
         raise DimensionError("form pullback requires an ordinary target (q = 0)")
     if form.degree > path.p:
         raise DegreeError(f"form degree {form.degree} exceeds target dimension {path.p}")
-    n = path.n
-    re, ro = form.rank
-    r = re + ro
-    a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    for k, t in enumerate(grid.times()):
-        xs = [path.a[i](t) for i in range(path.p)]
-        etas = [path.b[i](t) for i in range(path.p)]
-        acc_a = np.zeros((1 << n, r, r))
-        acc_b = np.zeros((1 << n, r, r))
-        for I, f in form.components.items():
-            eta_prod = None
-            for i in I:
-                eta_prod = etas[i - 1].comps if eta_prod is None else mul_components(n, eta_prod, etas[i - 1].comps)
-            coeff = taylor_eval_stack(f, xs, n=n)
-            if eta_prod is None:
-                acc_a = acc_a + coeff
-            else:
-                acc_a = acc_a + scale_stack(n, eta_prod, coeff, side="right")
-            # theta part: (d_j component)(x) * eta_j * eta^I, component leftmost
-            for j in range(1, path.p + 1):
-                dj = taylor_eval_stack(f.partial(j - 1), xs, n=n)
-                prod = etas[j - 1].comps if eta_prod is None else mul_components(n, etas[j - 1].comps, eta_prod)
-                acc_b = acc_b + scale_stack(n, prod, dj, side="right")
-        a_nodes[k] = acc_a
-        b_nodes[k] = acc_b
+    fn = _odd_monomial_function([form], path.p, form.rank)
     total = form.total_parity
-    return SuperField(grid, n, a_nodes, b_nodes, (re, ro), (re, ro),
-                      total, total.flipped())
+    return _assemble(odd_tangent_lift(path), grid, form.rank, (total, total.flipped()),
+                     lambda t, coords: fn.value_stack(coords, n=path.n + 1))
 
 
 def superconnection_coefficient(path: SuperPath, sc: Superconnection, grid: Grid,
@@ -1010,20 +979,8 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
     r = rank[0] + rank[1]
     if endo.coeff_shape != (r, r):
         raise DimensionError("endomorphism shape does not match the rank")
-    n = path.n
-    n_hat = n + 1
-    theta_hat = GrassmannElement.generator(n_hat, n_hat)
-    a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    for k, t in enumerate(grid.times()):
-        coords_hat = [
-            path.a[i](t).promoted(n_hat) + theta_hat * path.b[i](t).promoted(n_hat)
-            for i in range(path.p + path.q)
-        ]
-        stack = endo.value_stack(coords_hat, n=n_hat)
-        a_nodes[k], b_nodes[k] = _theta_split(n, stack)
-    return SuperField(grid, n, a_nodes, b_nodes, tuple(rank), tuple(rank),
-                      Parity.ODD, Parity.EVEN)
+    return _assemble(path, grid, rank, (Parity.ODD, Parity.EVEN),
+                     lambda t, coords: endo.value_stack(coords, n=path.n + 1))
 
 
 def odd_tangent_lift(path: SuperPath) -> SuperPath:
@@ -1040,6 +997,21 @@ def odd_tangent_lift(path: SuperPath) -> SuperPath:
     return SuperPath(path.p, path.p, path.n, a, b, path.t_end, path.margin)
 
 
+def _odd_monomial_function(forms: Sequence[DifferentialForm], p: int,
+                           rank: tuple[int, int]) -> GrassmannPoly:
+    """The sum of forms on R^p as one End-valued function on R^{p|p}, each
+    dx^I turned into the odd-coordinate monomial z^I."""
+    terms: dict[tuple[int, ...], object] = {}
+    for w in forms:
+        for I, f in w.components.items():
+            key = tuple(i - 1 for i in I)
+            terms[key] = terms[key] + f if key in terms else f
+    if not terms:
+        r = rank[0] + rank[1]
+        terms[()] = PolyMap.zero(p, (r, r))
+    return GrassmannPoly(p, p, terms, rank=rank)
+
+
 def odd_tangent_data(sc: Superconnection) -> tuple[Connection, GrassmannPoly]:
     """Superconnection data seen on the odd tangent bundle.
 
@@ -1048,21 +1020,11 @@ def odd_tangent_data(sc: Superconnection) -> tuple[Connection, GrassmannPoly]:
     form indices turned into odd-coordinate monomials.
     """
     p = sc.p
-    re, ro = sc.rank
-    r = re + ro
-    coeffs = [GrassmannPoly(p, p, {(): c.terms.get((), PolyMap.zero(p, (r, r)))}, rank=(re, ro))
+    r = sc.rank[0] + sc.rank[1]
+    coeffs = [GrassmannPoly(p, p, {(): c.terms.get((), PolyMap.zero(p, (r, r)))}, rank=sc.rank)
               for c in sc.connection.coeffs]
-    coeffs += [GrassmannPoly.zero(p, p, (r, r), (re, ro)) for _ in range(p)]
-    conn = Connection(p, p, (re, ro), coeffs)
-    endo_terms: dict[tuple[int, ...], PolyMap] = {}
-    for w in sc.forms:
-        for I, f in w.components.items():
-            key = tuple(i - 1 for i in I)
-            endo_terms[key] = endo_terms[key] + f if key in endo_terms else f
-    if not endo_terms:
-        endo_terms[()] = PolyMap.zero(p, (r, r))
-    endo = GrassmannPoly(p, p, endo_terms, rank=(re, ro))
-    return conn, endo
+    coeffs += [GrassmannPoly.zero(p, p, (r, r), sc.rank) for _ in range(p)]
+    return Connection(p, p, sc.rank, coeffs), _odd_monomial_function(sc.forms, p, sc.rank)
 
 
 def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],
@@ -1076,8 +1038,6 @@ def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],
     if path.q != 0:
         raise DimensionError("claim check requires an ordinary target")
     n = path.n
-    n_hat = n + 1
-    theta_hat = GrassmannElement.generator(n_hat, n_hat)
     res = 0.0
     for f in fns:
         for t in ts:
@@ -1088,10 +1048,8 @@ def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],
             for j in range(path.p):
                 dj = taylor_eval_stack(f.partial(j), xs, n=n)
                 lift_b = lift_b + mul_components(n, etas[j].comps, dj)
-            coords_hat = [xs[i].promoted(n_hat) + theta_hat * etas[i].promoted(n_hat)
-                          for i in range(path.p)]
-            direct = taylor_eval_stack(f, coords_hat, n=n_hat)
-            da, db = _theta_split(n, direct)
+            direct = taylor_eval_stack(f, _adjoined_coordinates(path, t), n=n + 1)
+            da, db = split_theta(n, direct)
             res = max(res, float(np.max(np.abs(da - lift_a))),
                       float(np.max(np.abs(db - lift_b))))
     return res

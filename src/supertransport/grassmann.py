@@ -9,8 +9,10 @@ normalized at construction time).  Component 0 is the *body*; the remaining
 nilpotent part is the *soul*.
 
 This module alone knows that layout: the bitmask keys, the grade and sign of
-each key (:func:`grades_of`, :func:`ring_parity_signs`), and the block
-parities of graded matrices (:func:`split_parities`, :func:`total_parities`).
+each key (:func:`grades_of`, :func:`ring_parity_signs`), the block
+parities of graded matrices (:func:`split_parities`, :func:`total_parities`,
+:func:`stack_parity`), and where an extra odd coordinate theta sits when it
+is adjoined as generator n + 1 (:func:`adjoin_theta`, :func:`split_theta`).
 Every ring product -- of scalars, of matrix stacks, of a stack by a scalar --
 goes through one kernel over the 3**n pairs of disjoint keys, sorted by
 product key so that each product component is one segment sum; the soul
@@ -118,6 +120,43 @@ def total_parities(n: int, row_split: Sequence[int], col_split: Sequence[int]) -
     (2**n, r, c) component stack."""
     block = split_parities(row_split)[:, None] ^ split_parities(col_split)[None, :]
     return _odd_keys(n)[:, None, None] ^ block[None, :, :]
+
+
+def parities_present(n: int, comps) -> set[int]:
+    """Parities (0/1) of the keys, on the leading axis, whose component is
+    nonzero (NaN counts as nonzero)."""
+    return set(_odd_keys(n)[np.nonzero(np.atleast_1d(comps))[0]].astype(int).tolist())
+
+
+def stack_parity(n: int, comps: np.ndarray, row_split: Sequence[int],
+                 col_split: Sequence[int]) -> Parity | None:
+    """Parity of a (2**n, r, c) component stack if homogeneous, else None.
+
+    Zero counts as even and NaN as nonzero.
+    """
+    total = total_parities(n, row_split, col_split)
+    return next((p for p in Parity if not np.any(comps[total != p])), None)
+
+
+def _theta_signs(n: int, ndim: int) -> np.ndarray:
+    # theta * e_K = (-1)**|K| e_K * theta, and e_K * theta has key K + 2**n
+    return ring_parity_signs(n).reshape((1 << n,) + (1,) * (ndim - 1))
+
+
+def adjoin_theta(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of a + theta*b over n + 1 generators, theta = e_{n+1}.
+
+    ``a`` and ``b`` are scalar vectors or matrix stacks over n generators,
+    keys on the leading axis; inverse of :func:`split_theta`.
+    """
+    return np.concatenate((a, _theta_signs(n, np.ndim(b)) * b))
+
+
+def split_theta(n: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write a vector or stack over n + 1 generators as a + theta*b, with a
+    and b over the first n generators; inverse of :func:`adjoin_theta`."""
+    dim = 1 << n
+    return stack[:dim].copy(), _theta_signs(n, stack.ndim) * stack[dim:]
 
 
 def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
@@ -422,31 +461,6 @@ class GrassmannElement:
         return cls(n, comps)
 
 
-def split_generator(u: GrassmannElement, g: int) -> tuple[GrassmannElement, GrassmannElement]:
-    """Write ``u = a + e_g * b`` with ``a, b`` free of generator ``g``.
-
-    The coefficient ``b`` is normalized with the generator written on the
-    left, which costs a sign for every generator of lower index present in
-    the monomial.
-    """
-    bit = 1 << (g - 1)
-    dim = 1 << u.n
-    a = np.zeros(dim)
-    b = np.zeros(dim)
-    below = bit - 1
-    for k in range(dim):
-        c = u.comps[k]
-        if c == 0.0:
-            continue
-        if k & bit:
-            rest = k ^ bit
-            sign = -1.0 if (rest & below).bit_count() & 1 else 1.0
-            b[rest] += sign * c
-        else:
-            a[k] += c
-    return GrassmannElement(u.n, a), GrassmannElement(u.n, b)
-
-
 # ---------------------------------------------------------------------------
 # Smooth-function oracles and the Grassmann-analytic Taylor extension
 # ---------------------------------------------------------------------------
@@ -724,15 +738,7 @@ class GradedMatrix:
         comps = np.zeros((1 << n,) + matrix.shape)
         comps[0] = matrix
         if parity is None:
-            # infer: a real matrix is even iff off-blocks vanish, odd iff diag blocks vanish
-            re = row_split[0]
-            ce = col_split[0]
-            diag = np.abs(matrix[:re, :ce]).sum() + np.abs(matrix[re:, ce:]).sum()
-            off = np.abs(matrix[:re, ce:]).sum() + np.abs(matrix[re:, :ce]).sum()
-            if off == 0.0:
-                parity = Parity.EVEN
-            elif diag == 0.0:
-                parity = Parity.ODD
+            parity = stack_parity(n, comps, row_split, col_split)
         return cls(n, comps, tuple(row_split), tuple(col_split), parity)
 
     @classmethod

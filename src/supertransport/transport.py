@@ -56,8 +56,9 @@ from .grassmann import (
     graded_mul_stacks,
     scale_stack,
     soul_series,
-    split_generator,
     split_parities,
+    split_theta,
+    stack_parity,
     total_parities,
 )
 from .superfield import Grid, SuperField, SuperPoint, fd4_stack, interpolate_stack
@@ -171,8 +172,7 @@ def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
     C_end = field.a_taylor_at(end.t)
     B_stack = -graded_mul_stacks(n, C_end.comps, X, rows, rows)
     map_stack = X + scale_stack(n, end.theta.comps, B_stack, side="left")
-    total = total_parities(n, field.row_split, field.col_split)
-    parity = next((p for p in Parity if not np.any(map_stack[total != p])), None)
+    parity = stack_parity(n, map_stack, field.row_split, field.col_split)
     matrix = GradedMatrix(n, map_stack, field.row_split, field.col_split, parity, check=False)
     if psi0 is not None:
         return matrix.apply(psi0)
@@ -417,34 +417,26 @@ class RecoveredSuperconnection:
     form2: dict[tuple[int, int], np.ndarray]
 
 
-def _theta_part_matrix(m: GradedMatrix, gen: int) -> GradedMatrix:
-    entries = [[None] * m.shape[1] for _ in range(m.shape[0])]
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            _, b = split_generator(m.entry(i, j), gen)
-            entries[i][j] = b
-    return GradedMatrix.from_entries(entries, m.row_split, m.col_split, None, check=False)
-
-
 def _coefficient_at_zero(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
-                         probe: SuperPath, n: int, theta_gen: int,
+                         probe: SuperPath, n: int,
                          fd_step: float) -> tuple[GradedMatrix, GradedMatrix]:
     """Recover C(0) and Dm(0) of the parallel equation along a probe path.
 
     C(0) is the left theta-coefficient of the zero-length transport with a
-    theta displacement; Dm(0) follows from the reduced equation with the
-    time derivative of the theta^0 block estimated by a central difference.
+    theta displacement along the highest generator e_n; Dm(0) follows from
+    the reduced equation with the time derivative of the theta^0 block
+    estimated by a central difference.  The probe is free of e_n, so both
+    live over the n - 1 generators below it.
     """
-    theta = GrassmannElement.generator(n, theta_gen)
+    theta = GrassmannElement.generator(n, n)
     at_theta = oracle(probe, SuperPoint(GrassmannElement.zero(n), theta))
-    C0 = -(_theta_part_matrix(at_theta.matrix, theta_gen).comps)
-    C0m = GradedMatrix(n, C0, at_theta.matrix.row_split, at_theta.matrix.col_split,
+    splits = at_theta.matrix.row_split, at_theta.matrix.col_split
+    C0m = GradedMatrix(n - 1, -split_theta(n - 1, at_theta.matrix.comps)[1], *splits,
                        None, check=False)
     plus = oracle(probe, SuperPoint.at(n, fd_step))
     minus = oracle(probe, SuperPoint.at(n, -fd_step))
     adot = (plus.matrix.comps - minus.matrix.comps) / (2.0 * fd_step)
-    adot_m = GradedMatrix(n, adot, at_theta.matrix.row_split,
-                          at_theta.matrix.col_split, None, check=False)
+    adot_m = GradedMatrix(n - 1, split_theta(n - 1, adot)[0], *splits, None, check=False)
     # a' = (eps(C) C - Dm) a with a(0) = 1, so Dm(0) = eps(C0) C0 - a'(0)
     Dm = C0m.parity_involution() @ C0m - adot_m
     return C0m, Dm
@@ -470,7 +462,6 @@ def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
         raise UnderdeterminedError("2-form recovery needs at least 3 generators")
     if n < 1:
         raise UnderdeterminedError("recovery needs at least one generator for the theta slot")
-    theta_gen = n  # highest generator reserved for the theta slot
     zero = GrassmannElement.zero(n)
 
     def line_probe(velocity: Sequence[float], eta: Sequence[GrassmannElement]) -> SuperPath:
@@ -480,7 +471,7 @@ def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
 
     # base probe: eta = 0, v = 0 -> C(0) = -(0-form)
     base_probe = line_probe([0.0] * p, [zero] * p)
-    C_base, _ = _coefficient_at_zero(oracle, base_probe, n, theta_gen, fd_step)
+    C_base, _ = _coefficient_at_zero(oracle, base_probe, n, fd_step)
     form0 = -C_base.comps[0] if 0 in degrees else None
 
     connection: list[np.ndarray] = []
@@ -489,7 +480,7 @@ def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
             v = [0.0] * p
             v[i] = 1.0
             probe = line_probe(v, [zero] * p)
-            _, Dm = _coefficient_at_zero(oracle, probe, n, theta_gen, fd_step)
+            _, Dm = _coefficient_at_zero(oracle, probe, n, fd_step)
             # Dm(0) = a_i(x0) for a unit-velocity probe with no odd data
             connection.append(Dm.comps[0].copy())
 
@@ -504,6 +495,6 @@ def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
                 eta[i] = g1
                 eta[j] = g2
                 probe = line_probe([0.0] * p, eta)
-                C0, _ = _coefficient_at_zero(oracle, probe, n, theta_gen, fd_step)
+                C0, _ = _coefficient_at_zero(oracle, probe, n, fd_step)
                 form2[(i + 1, j + 1)] = -C0.comps[pair_key].copy()
     return RecoveredSuperconnection(connection, form0, form2)

@@ -1,5 +1,7 @@
 """Integration of even and odd vector fields."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from supertransport.geometry import GrassmannPoly, SuperVectorField
 from supertransport.grassmann import GrassmannElement, Parity, PolyMap
 from supertransport.superfield import SuperPoint
 
-from reference import flow_oracle
+from reference import flow_oracle, gadd, gmul, gscale, to_components
 
 G = GrassmannElement
 
@@ -152,3 +154,41 @@ class TestFlowOdd:
         out = flow_odd(X, [x0, z0], end, 256)
         assert out[0] == end.t + x0 + end.theta * z0
         assert out[1] == end.theta + z0
+
+    def test_soul_series_to_all_orders(self):
+        # X = z d/dx + x d/dz squares to x d/dx + z d/dz, so from (0.5, 0) the
+        # flow is G(t) = 0.5 e^t; at t = 1 + e12 + e34 + e56 every soul power
+        # up to the cube counts, and the e123456 coefficient is 0.5 e
+        X = SuperVectorField(1, 1, Parity.ODD, [
+            GrassmannPoly(1, 1, {(0,): PolyMap.constant(1, 1.0)}),
+            GrassmannPoly(1, 1, {(): PolyMap(1, {(1,): 1.0})}),
+        ])
+        n = 6
+        soul = {(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0}
+        exp_soul, power = {(): 1.0}, {(): 1.0}
+        for k in range(1, 4):
+            power = gmul(power, soul)
+            exp_soul = gadd(exp_soul, gscale(1.0 / math.factorial(k), power))
+        want = to_components(gscale(0.5 * math.e, exp_soul), n)
+        end = SuperPoint(G.from_terms(n, {(): 1.0, **soul}), G.zero(n))
+        errs = []
+        for steps in (100, 400):
+            x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, steps)
+            assert z.norm() == 0.0
+            errs.append(float(np.max(np.abs(x.comps - want))))
+        assert errs[1] < 1e-10 and errs[1] <= errs[0]
+
+    def test_family_valued_field_at_soulful_time(self):
+        # X = c z d/dx + d/dz with the family payload c = 1 + e12/2 squares to
+        # c d/dx, so from (0.5, 0) the flow is (0.5 + c t, 0); the soul e34/4
+        # squares to zero, so only the first derivative enters the series
+        n = 4
+        c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
+        X = SuperVectorField(1, 1, Parity.ODD, [
+            GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
+            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+        ])
+        end = SuperPoint(G.from_terms(n, {(): 1.0, (3, 4): 0.25}), G.zero(n))
+        x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
+        assert x.allclose(G.scalar(n, 0.5) + c * end.t, 1e-14)
+        assert z.norm() == 0.0

@@ -22,6 +22,7 @@ from supertransport.geometry import (
 from supertransport.grassmann import AlgebraMap, GrassmannElement, Parity, PolyMap
 from supertransport.superfield import Grid, SuperPoint
 
+from reference import from_element, gadd, gmul, to_components
 
 
 G = GrassmannElement
@@ -200,6 +201,52 @@ class TestPullbacks:
             assert got_a.allclose(want_a, 1e-12)
             got_b = G(n, fld.b[k, :, 0, 0])
             assert got_b.allclose(e1 * e2, 1e-12)
+
+    def test_lift_pullback_against_explicit_expansion(self, rng):
+        # theta^0 = sum_I f_I(x) eta^I and theta^1 = sum_j d_j f_I(x) eta_j eta^I,
+        # with x and eta the path components and dictionary arithmetic only
+        from supertransport.verify import random_path
+        n, p, rank = 3, 2, (1, 1)
+        path = random_path(rng, n, p)
+        grid = Grid(0.0, 0.25, 5)
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def poly(mask):
+            return PolyMap(p, {e: mask * rng.uniform(-1, 1, (2, 2))
+                               for e in [(0, 0), (1, 0), (0, 2), (2, 1)]})
+
+        forms = [DifferentialForm(0, p, rank, Parity.ODD, {(): poly(off)}),
+                 DifferentialForm(1, p, rank, Parity.EVEN,
+                                  {(1,): poly(1 - off), (2,): poly(1 - off)}),
+                 DifferentialForm(2, p, rank, Parity.ODD, {(1, 2): poly(off)})]
+
+        def at(f, r, c, xs):
+            out = {}
+            for expo, coeff in f.terms.items():
+                val = {(): float(coeff[r, c])}
+                for x, e in zip(xs, expo):
+                    for _ in range(e):
+                        val = gmul(val, x)
+                out = gadd(out, val)
+            return out
+
+        for form in forms:
+            fld = lift_pullback(path, form, grid)
+            for k, t in enumerate(grid.times()):
+                xs = [from_element(path.a[i](t)) for i in range(p)]
+                etas = [from_element(path.b[i](t)) for i in range(p)]
+                for r, c in np.ndindex(2, 2):
+                    want_a, want_b = {}, {}
+                    for I, f in form.components.items():
+                        eta_I = {(): 1.0}
+                        for i in I:
+                            eta_I = gmul(eta_I, etas[i - 1])
+                        want_a = gadd(want_a, gmul(at(f, r, c, xs), eta_I))
+                        for j in range(p):
+                            dj = gmul(at(f.partial(j), r, c, xs), etas[j])
+                            want_b = gadd(want_b, gmul(dj, eta_I))
+                    assert np.max(np.abs(to_components(want_a, n) - fld.a[k, :, r, c])) < 1e-12
+                    assert np.max(np.abs(to_components(want_b, n) - fld.b[k, :, r, c])) < 1e-12
 
     def test_degree_error(self):
         n = 2

@@ -1,6 +1,7 @@
 """Scalar algebra, graded matrices, Taylor extension, graded exponential."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from supertransport.grassmann import (
     Parity,
     PolyMap,
     SmoothMap,
+    adjoin_theta,
     graded_expm,
     mul_stacks,
     scale_stack,
     soul_series,
-    split_generator,
+    split_theta,
     taylor_eval,
 )
 
@@ -120,13 +122,43 @@ class TestScalarAlgebra:
         back = GrassmannElement.from_json_dict(3, data)
         assert back == u  # bit exact
 
-    def test_split_generator(self):
+    def test_split_theta(self):
         u = GrassmannElement.from_terms(3, {(1, 3): 2.0, (2,): 1.0, (): 0.5})
-        a, b = split_generator(u, 3)
+        a, b = (GrassmannElement(2, c) for c in split_theta(2, u.comps))
         assert a.terms() == {(2,): 1.0, (): 0.5}
         assert b.terms() == {(1,): -2.0}
         theta = GrassmannElement.generator(3, 3)
-        assert (a + theta * b) == u
+        assert (a.promoted(3) + theta * b.promoted(3)) == u
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["vector", "stack"])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_adjoin_and_split_theta(n, shape, rng):
+    dim = 1 << n
+    a = rng.uniform(-1, 1, (dim,) + shape)
+    b = rng.uniform(-1, 1, (dim,) + shape)
+    joined = adjoin_theta(n, a, b)
+    back_a, back_b = split_theta(n, joined)
+    assert np.array_equal(back_a, a) and np.array_equal(back_b, b)
+
+    def entry(comps, gens, idx):
+        return from_element(GrassmannElement(gens, comps[(slice(None),) + idx]))
+
+    theta = {(n + 1,): 1.0}
+    for idx in np.ndindex(*shape):
+        want = gadd(entry(a, n, idx), gmul(theta, entry(b, n, idx)))
+        assert dict_distance(want, entry(joined, n + 1, idx)) == 0.0
+
+
+def test_only_grassmann_knows_the_key_layout():
+    import supertransport
+
+    layout = ("bit_count", "np.add.at", "bincount", "grades_of", "ring_parity_signs",
+              "split_generator", "n_hat")
+    src = Path(supertransport.__file__).parent
+    found = [(path.name, word) for path in sorted(src.glob("*.py")) if path.name != "grassmann.py"
+             for word in layout if word in path.read_text()]
+    assert found == []
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])
