@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import DomainError, ParityError, ResolutionError
 from .geometry import SuperVectorField
-from .grassmann import GrassmannElement, Parity, adjoin_theta, soul_series, split_theta
+from .grassmann import (
+    GrassmannElement,
+    Parity,
+    adjoin_theta,
+    node_blocks,
+    soul_series,
+    split_theta,
+)
 from .superfield import SuperPoint
 
 _BLOWUP = 1e12
@@ -69,9 +76,7 @@ def _check_init(field: SuperVectorField, init: list[GrassmannElement], n: int):
 
 
 def _rhs_even(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
-    coords = [GrassmannElement(n, state[i]) for i in range(state.shape[0])]
-    vals = field.coefficient_values(coords)
-    out = np.stack([v.comps for v in vals])
+    out = field.coefficient_stack(state[:, :, None])[:, :, 0]
     if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
         raise DomainError("flow blew up or left the admissible domain")
     return out
@@ -108,18 +113,18 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     return Trajectory(times, states, n)
 
 
-def _adjoined(n: int, G: np.ndarray, H: np.ndarray) -> list[GrassmannElement]:
-    # the coordinates G^i + theta*H^i, theta adjoined as generator n+1
-    return [GrassmannElement(n + 1, adjoin_theta(n, g, h)) for g, h in zip(G, H)]
+def _adjoined(n: int, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    # the coordinates G^i + theta*H^i, theta adjoined as generator n+1;
+    # (ncoords, 2**n, nodes) columns in, (ncoords, 2**(n+1), nodes) out
+    return np.stack([adjoin_theta(n, g, h) for g, h in zip(G, H)])
 
 
 def _odd_rhs(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
     """theta-component of a(G + theta*a(G)), theta adjoined as generator n+1."""
-    coords = [GrassmannElement(n, state[i]) for i in range(state.shape[0])]
-    h_vals = np.stack([v.comps for v in field.coefficient_values(coords)])
-    coords_hat = _adjoined(n, state, h_vals)
+    coords = state[:, :, None]
+    coords_hat = _adjoined(n, coords, field.coefficient_stack(coords))
     # the theta-free part of each value is a_i(G) = H^i by construction
-    out = np.stack([split_theta(n, a.value_stack(coords_hat))[1] for a in field.coeffs])
+    out = np.stack([split_theta(n, v[:, 0])[1] for v in field.coefficient_stack(coords_hat)])
     if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
         raise DomainError("flow blew up or left the admissible domain")
     return out
@@ -155,7 +160,7 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
         # at the body time is (Y^k x)(G).  The first is the right-hand side
         # itself, which also takes family-valued coefficients; Y is built
         # only when a higher one is asked for.
-        G_body = [GrassmannElement(n, g) for g in G_end]
+        G_body = G_end[:, :, None]
 
         def higher_jets():
             Y = field.squared()
@@ -169,7 +174,7 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
         def derivative(k: int) -> np.ndarray:
             if k == 1:
                 return rhs(body, G_end).T[:, :, None]
-            return np.stack([f.value_stack(G_body) for f in next(jets)], axis=1)[:, :, None]
+            return np.stack([f.value_stack(G_body)[:, 0] for f in next(jets)], axis=1)[:, :, None]
 
         G_end = G_end + soul_series(n, soul, derivative)[:, :, 0].T
 
@@ -195,20 +200,15 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     _check_init(field, init, n)
     state0 = np.stack([x.comps for x in init])
     times, G_states = _integrate(lambda t, y: _odd_rhs(field, y, n), state0, t_end, steps)
-    ncoords = G_states.shape[1]
-    H_states = np.empty_like(G_states)
-    for k in range(len(times)):
-        coords = [GrassmannElement(n, G_states[k, i]) for i in range(ncoords)]
-        vals = field.coefficient_values(coords)
-        H_states[k] = np.stack([v.comps for v in vals])
-    Gdot = fd4_stack(G_states, times[1] - times[0])
+    G = np.moveaxis(G_states, 0, 2)
+    Gdot = np.moveaxis(fd4_stack(G_states, times[1] - times[0]), 0, 2)
 
     res = 0.0
-    for k in range(len(times)):
-        coords_hat = _adjoined(n, G_states[k], H_states[k])
-        for i, a in enumerate(field.coeffs):
-            a_part, b_part = split_theta(n, a.value_stack(coords_hat))
+    for blk in node_blocks(n + 1, len(times)):
+        H = field.coefficient_stack(G[:, :, blk])
+        for i, value in enumerate(field.coefficient_stack(_adjoined(n, G[:, :, blk], H))):
+            a_part, b_part = split_theta(n, value)
             # D(alpha^i) = H^i + theta * dG^i/dt must equal a_i(alpha)
-            res = max(res, float(np.max(np.abs(a_part - H_states[k, i]))))
-            res = max(res, float(np.max(np.abs(b_part - Gdot[k, i]))))
+            res = max(res, float(np.max(np.abs(a_part - H[i]))),
+                      float(np.max(np.abs(b_part - Gdot[i, :, blk]))))
     return res

@@ -18,16 +18,25 @@ written to the left), and every commutation sign is derived from Grassmann
 multiplication by adjoining theta as one extra generator
 (:func:`~supertransport.grassmann.adjoin_theta` and
 :func:`~supertransport.grassmann.split_theta`).  One private assembler
-evaluates data at the theta-adjoined path coordinates node by node and
-splits the result; `connection_coefficient`, `endomorphism_term` and
-`lift_pullback` are each one call to it.  `lift_pullback` takes the route
+evaluates data at the theta-adjoined path coordinates and splits the
+result; `connection_coefficient`, `endomorphism_term` and `lift_pullback`
+are each one call to it.  Everything on that route is batched over grid
+nodes: curves sample arrays of times, coordinates and values carry a node
+axis right after the key axis, and the assembler makes one call per block
+of nodes rather than one per node.  `lift_pullback` takes the route
 through the odd tangent bundle R^{p|p}: the form becomes the odd-monomial
 function dx^I -> z^I, evaluated along `odd_tangent_lift` of the path.
+
+Thread safety: curves, paths, polynomials, forms and connections are not
+changed after construction, with one exception: a curve builds its
+derivative curve on first use and keeps it (``Curve._derivative``), as a
+`SuperField` keeps its derivative stacks.  Both fills are idempotent --
+threads that race build equal values and either is kept -- so all of these
+objects may be shared between threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -41,6 +50,7 @@ from .grassmann import (
     PolyMap,
     adjoin_theta,
     mul_components,
+    node_blocks,
     parities_present,
     scale_stack,
     soul_series,
@@ -56,32 +66,32 @@ _FD_STEP = 1e-3
 class Curve:
     """A Grassmann-valued smooth function of one real parameter.
 
-    A curve knows how to evaluate itself and how to produce its derivative
-    curve.  Exact derivative chains are attached by the constructors below;
-    when none is available the derivative falls back to a fourth-order
-    central difference of the values.
+    A curve samples itself at a 1-D array of times as a (2**n, nodes) array
+    of component columns (:meth:`sample`); calling it at one time is a batch
+    of one.  It also knows how to produce its derivative curve.  Exact
+    derivative chains are attached by the constructors below; when none is
+    available the derivative falls back to a fourth-order central
+    difference of the values.
     """
 
-    __slots__ = ("n", "_fn", "_derivative_factory", "_derivative", "_memo")
+    __slots__ = ("n", "_sample", "_derivative_factory", "_derivative")
 
-    def __init__(self, n: int, fn: Callable[[float], GrassmannElement],
+    def __init__(self, n: int, sample: Callable[[np.ndarray], np.ndarray],
                  derivative: "Callable[[], Curve] | None" = None):
         self.n = n
-        self._fn = fn
+        self._sample = sample
         self._derivative_factory = derivative
         self._derivative: Curve | None = None
-        self._memo: dict[float, GrassmannElement] = {}
+
+    def sample(self, times) -> np.ndarray:
+        """The (2**n, nodes) component columns of the values at the times."""
+        return self._sample(np.asarray(times, dtype=np.float64))
 
     def __call__(self, t: float) -> GrassmannElement:
-        # values are immutable; grid-based consumers hit the same nodes often
-        hit = self._memo.get(t)
-        if hit is None:
-            hit = self._fn(t)
-            if len(self._memo) < 4096:
-                self._memo[t] = hit
-        return hit
+        return GrassmannElement(self.n, self.sample([t])[:, 0])
 
     def derivative(self) -> "Curve":
+        # filled once; a racing second fill builds an equal curve
         if self._derivative is None:
             if self._derivative_factory is not None:
                 self._derivative = self._derivative_factory()
@@ -89,31 +99,38 @@ class Curve:
                 self._derivative = _fd_curve(self)
         return self._derivative
 
+    def _sample_at(self, times: np.ndarray) -> np.ndarray:
+        """Values at even times with nilpotent souls, given as (2**n, nodes)
+        component columns: one terminating Taylor series over the nodes."""
+        bodies = times[0]
+        souls = times.copy()
+        souls[0] = 0.0
+        chain = [self]
+
+        def at_body(k: int) -> np.ndarray:
+            chain.append(chain[-1].derivative())
+            return chain[k].sample(bodies)
+
+        return self.sample(bodies) + soul_series(self.n, souls, at_body)
+
     def eval_grassmann(self, t: GrassmannElement) -> GrassmannElement:
         """Evaluate at an even time with nilpotent soul (terminating Taylor)."""
         if t.n != self.n:
             raise DimensionError("time argument lives over a different algebra")
         if not t.is_even():
             raise ParityError("time argument must be even")
-        chain = [self]
-
-        def at_body(k: int) -> np.ndarray:
-            chain.append(chain[-1].derivative())
-            return chain[k](t.body).comps
-
-        tail = soul_series(self.n, t.soul().comps, at_body)
-        return GrassmannElement(self.n, self(t.body).comps + tail)
+        return GrassmannElement(self.n, self._sample_at(t.comps[:, None])[:, 0])
 
     # -- combinators ---------------------------------------------------------
 
     def __add__(self, other: "Curve") -> "Curve":
         self._check(other)
-        return Curve(self.n, lambda t: self(t) + other(t),
+        return Curve(self.n, lambda ts: self.sample(ts) + other.sample(ts),
                      lambda: self.derivative() + other.derivative())
 
     def __sub__(self, other: "Curve") -> "Curve":
         self._check(other)
-        return Curve(self.n, lambda t: self(t) - other(t),
+        return Curve(self.n, lambda ts: self.sample(ts) - other.sample(ts),
                      lambda: self.derivative() - other.derivative())
 
     def __neg__(self) -> "Curve":
@@ -122,54 +139,36 @@ class Curve:
     def scale_left(self, u) -> "Curve":
         if isinstance(u, (int, float)):
             u = GrassmannElement.scalar(self.n, float(u))
-        return Curve(self.n, lambda t: u * self(t),
+        return Curve(self.n, lambda ts: mul_components(self.n, u.comps, self.sample(ts)),
                      lambda: self.derivative().scale_left(u))
 
     def __mul__(self, other: "Curve") -> "Curve":
         """Pointwise product, left factor first (order matters)."""
         self._check(other)
-        return Curve(self.n, lambda t: self(t) * other(t),
+        return Curve(self.n, lambda ts: mul_components(self.n, self.sample(ts), other.sample(ts)),
                      lambda: self.derivative() * other + self * other.derivative())
 
     def compose(self, inner: "Curve") -> "Curve":
-        """self(inner(u)) for a real-valued (body-only) inner curve."""
-        def fn(u: float) -> GrassmannElement:
-            s = inner(u)
-            return self.eval_grassmann(s) if s.soul().norm() else self(s.body)
-
-        return Curve(self.n, fn,
+        """self(inner(u)) for an even inner curve; where inner(u) has a soul,
+        the terminating Taylor series in it is summed."""
+        return Curve(self.n, lambda us: self._sample_at(inner.sample(us)),
                      lambda: self.derivative().compose(inner) * inner.derivative())
 
     def power(self, exponent: float) -> "Curve":
         """Real power of a real-valued curve (used for sqrt of r')."""
-        def fn(t: float) -> GrassmannElement:
-            v = self(t)
-            if v.soul().norm() != 0.0:
+        def sample(ts: np.ndarray) -> np.ndarray:
+            v = self.sample(ts)
+            if np.any(v[1:]):
                 raise DomainError("power law applies to real-valued curves only")
-            return GrassmannElement.scalar(self.n, v.body ** exponent)
+            out = np.zeros_like(v)
+            out[0] = v[0] ** exponent
+            return out
 
-        return Curve(self.n, fn,
+        return Curve(self.n, sample,
                      lambda: self.power(exponent - 1.0).scale_left(exponent) * self.derivative())
 
-    def shifted(self, sign: float, shift: GrassmannElement) -> "Curve":
-        """The curve u -> self(sign*u + shift), shift an even element."""
-        if not shift.is_even():
-            raise ParityError("time shifts must be even")
-        body = shift.body
-        soul = shift.soul()
-
-        if soul.norm() == 0.0:
-            def fn(u: float) -> GrassmannElement:
-                return self(sign * u + body)
-        else:
-            def fn(u: float) -> GrassmannElement:
-                return self.eval_grassmann(shift + sign * u)
-
-        return Curve(self.n, fn,
-                     lambda: self.derivative().shifted(sign, shift).scale_left(sign))
-
     def mapped(self, hom: AlgebraMap) -> "Curve":
-        return Curve(hom.n_to, lambda t: hom.apply(self(t)),
+        return Curve(hom.n_to, lambda ts: hom.apply_components(self.sample(ts)),
                      lambda: self.derivative().mapped(hom))
 
     def _check(self, other: "Curve"):
@@ -182,10 +181,8 @@ class Curve:
     def constant(cls, n: int, value) -> "Curve":
         if isinstance(value, (int, float)):
             value = GrassmannElement.scalar(n, float(value))
-        zero = GrassmannElement.zero(n)
-        c = cls(n, lambda t: value)
-        c._derivative_factory = lambda: Curve.constant(n, zero)
-        return c
+        return cls(n, lambda ts: np.repeat(value.comps[:, None], len(ts), axis=1),
+                   lambda: Curve.constant(n, GrassmannElement.zero(n)))
 
     @classmethod
     def polynomial(cls, n: int, coeffs: Sequence) -> "Curve":
@@ -195,19 +192,19 @@ class Curve:
         if not gcoeffs:
             gcoeffs = [GrassmannElement.zero(n)]
 
-        def fn(t: float) -> GrassmannElement:
-            acc = GrassmannElement.zero(n)
-            tp = 1.0
+        def sample(ts: np.ndarray) -> np.ndarray:
+            acc = np.zeros((1 << n, len(ts)))
+            tp = np.ones(len(ts))
             for c in gcoeffs:
-                acc = acc + c * tp
-                tp *= t
+                acc = acc + c.comps[:, None] * tp
+                tp = tp * ts
             return acc
 
         def dfactory() -> Curve:
             dcoeffs = [c * float(k) for k, c in enumerate(gcoeffs)][1:]
             return Curve.polynomial(n, dcoeffs or [GrassmannElement.zero(n)])
 
-        return cls(n, fn, dfactory)
+        return cls(n, sample, dfactory)
 
     @classmethod
     def identity_map(cls, n: int) -> "Curve":
@@ -221,10 +218,10 @@ class Curve:
             amplitude = GrassmannElement.scalar(n, float(amplitude))
         if isinstance(offset, (int, float)):
             offset = GrassmannElement.scalar(n, float(offset))
-        trig = math.cos if kind == "cos" else math.sin
+        trig = np.cos if kind == "cos" else np.sin
 
-        def fn(t: float) -> GrassmannElement:
-            return amplitude * trig(omega * t + phase) + offset
+        def sample(ts: np.ndarray) -> np.ndarray:
+            return amplitude.comps[:, None] * trig(omega * ts + phase) + offset.comps[:, None]
 
         def dfactory() -> Curve:
             # d/dt cos = -omega sin; d/dt sin = omega cos
@@ -232,28 +229,26 @@ class Curve:
                 return Curve.harmonic(n, amplitude * (-omega), omega, phase, 0.0, "sin")
             return Curve.harmonic(n, amplitude * omega, omega, phase, 0.0, "cos")
 
-        return cls(n, fn, dfactory)
+        return cls(n, sample, dfactory)
 
     @classmethod
     def from_samples(cls, n: int, grid: Grid, values: Sequence[GrassmannElement]) -> "Curve":
         """Quartic interpolation of sampled values; derivatives via FD4 stacks."""
         from .superfield import fd4_stack, interpolate_stack
 
-        stack = np.stack([v.comps for v in values])[:, :, None, None]
-
         def make(stk: np.ndarray) -> Curve:
-            def fn(t: float) -> GrassmannElement:
-                return GrassmannElement(n, interpolate_stack(grid, stk, t)[:, 0, 0])
-            return Curve(n, fn, lambda: make(fd4_stack(stk, grid.h)))
+            return Curve(n, lambda ts: interpolate_stack(grid, stk, ts).T,
+                         lambda: make(fd4_stack(stk, grid.h)))
 
-        return make(stack)
+        return make(np.stack([v.comps for v in values]))
 
 
 def _fd_curve(base: Curve, h: float = _FD_STEP) -> Curve:
-    def fn(t: float) -> GrassmannElement:
-        return (base(t - 2 * h) - 8.0 * base(t - h) + 8.0 * base(t + h) - base(t + 2 * h)) / (12.0 * h)
+    def sample(ts: np.ndarray) -> np.ndarray:
+        return (base.sample(ts - 2 * h) - 8.0 * base.sample(ts - h)
+                + 8.0 * base.sample(ts + h) - base.sample(ts + 2 * h)) / (12.0 * h)
 
-    return Curve(base.n, fn)
+    return Curve(base.n, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -323,36 +318,33 @@ class GrassmannPoly:
              rank: tuple[int, int] | None = None) -> "GrassmannPoly":
         return cls(p, q, {(): PolyMap.zero(p, shape)}, rank=rank)
 
-    def value_stack(self, coords: Sequence[GrassmannElement],
-                    order: int | None = None, n: int | None = None) -> np.ndarray:
-        """Component stack of the value at graded coordinates.
+    def value_stack(self, coords: np.ndarray) -> np.ndarray:
+        """Component stack of the value at graded coordinates, node by node.
 
-        The first p coordinate values must be even elements, the last q odd.
-        Result shape: (2**n,) + coeff_shape.  For the empty chart the algebra
-        size must be passed explicitly.
+        ``coords`` is a (p + q, 2**n, nodes) array: the component columns of
+        every coordinate at every node, the first p even and the last q odd.
+        Result shape: (2**n, nodes) + value shape, the value shape being ()
+        for family-valued coefficients and coeff_shape otherwise.
         """
         if len(coords) != self.p + self.q:
             raise DimensionError(f"expected {self.p + self.q} coordinates")
-        if coords:
-            n = coords[0].n
-        elif n is None:
-            raise DimensionError("value on the empty chart needs the algebra size")
-        evens = list(coords[:self.p])
-        odds = list(coords[self.p:])
+        _, dim, nodes = coords.shape
+        n = dim.bit_length() - 1
+        evens = coords[:self.p]
+        odds = coords[self.p:]
         for z in odds:
-            if not z.is_odd():
+            if 0 in parities_present(n, z):
                 raise ParityError("odd coordinate value must be odd")
-        dim = 1 << n
         shape = () if self.lambda_n is not None else self.coeff_shape
-        out = np.zeros((dim,) + tuple(np.shape(np.zeros(shape))))
+        out = np.zeros((dim, nodes) + shape)
         for J, f in self.terms.items():
-            coeff = taylor_eval_stack(f, evens, order=order, n=n)
+            coeff = taylor_eval_stack(f, evens)
             if self.lambda_n is not None:
                 if 1 << self.lambda_n > dim:
                     raise DimensionError("coefficient algebra larger than coordinate algebra")
-                contracted = np.zeros(dim)
+                contracted = np.zeros((dim, nodes))
                 for m in range(1 << self.lambda_n):
-                    col = coeff[:, m]
+                    col = coeff[:, :, m]
                     if not np.any(col):
                         continue
                     basis = np.zeros(dim)
@@ -361,10 +353,10 @@ class GrassmannPoly:
                 coeff = contracted
             zprod = None
             for j in J:
-                zprod = odds[j].comps if zprod is None else mul_components(n, zprod, odds[j].comps)
+                zprod = odds[j] if zprod is None else mul_components(n, zprod, odds[j])
             if zprod is None:
                 out = out + coeff
-            elif coeff.ndim == 1:
+            elif coeff.ndim == 2:
                 out = out + mul_components(n, coeff, zprod)
             else:
                 # value semantics: pullbacks act entrywise on the scalars
@@ -372,11 +364,12 @@ class GrassmannPoly:
         return out
 
     def value(self, coords: Sequence[GrassmannElement]) -> GrassmannElement:
-        stack = self.value_stack(coords)
+        if not coords:
+            raise DimensionError("value on the empty chart needs the algebra size")
+        stack = self.value_stack(np.stack([c.comps for c in coords])[:, :, None])[:, 0]
         if stack.ndim != 1:
             raise DimensionError("value() expects a scalar-valued function")
-        n = coords[0].n if coords else 0
-        return GrassmannElement(n, stack)
+        return GrassmannElement(coords[0].n, stack)
 
     def partial(self, i: int) -> "GrassmannPoly":
         """Left partial derivative with respect to coordinate i (0-based)."""
@@ -398,7 +391,7 @@ class GrassmannPoly:
             g = f * sign
             terms[rest] = terms[rest] + g if rest in terms else g
         if not terms:
-            return GrassmannPoly.zero(self.p, self.q, self.coeff_shape, self.rank)
+            terms = {(): PolyMap.zero(self.p, self.coeff_shape)}
         return GrassmannPoly(self.p, self.q, terms, self.lambda_n, self.rank)
 
     def _payload_parities(self, f) -> set[int]:
@@ -407,32 +400,57 @@ class GrassmannPoly:
             return {0}
         return set().union(*(parities_present(self.lambda_n, c) for c in f.terms.values()))
 
+    def _payload_terms(self, lam: int | None) -> dict[tuple[int, ...], object]:
+        """The terms with payloads over Lambda_lam; a plain coefficient f
+        becomes the body-only payload f*1."""
+        if lam is None or self.lambda_n == lam:
+            return self.terms
+        if self.lambda_n is not None:
+            raise DimensionError("family payloads live over different algebras")
+        if self.coeff_shape != ():
+            raise DimensionError("only scalar coefficients combine with family payloads")
+        one = GrassmannElement.one(lam).comps
+        return {J: PolyMap(self.p, {e: c * one for e, c in f.terms.items()})
+                for J, f in self.terms.items()}
+
     def __add__(self, other: "GrassmannPoly") -> "GrassmannPoly":
-        if self.lambda_n != other.lambda_n:
-            raise DimensionError("cannot add plain and family-valued coefficients")
-        terms = dict(self.terms)
-        for J, f in other.terms.items():
+        lam = self.lambda_n if self.lambda_n is not None else other.lambda_n
+        terms = dict(self._payload_terms(lam))
+        for J, f in other._payload_terms(lam).items():
             terms[J] = terms[J] + f if J in terms else f
-        return GrassmannPoly(self.p, self.q, terms, self.lambda_n,
+        return GrassmannPoly(self.p, self.q, terms, lam,
                              self.rank if self.rank is not None else other.rank)
 
     def __mul__(self, other: "GrassmannPoly") -> "GrassmannPoly":
-        """Product of scalar-valued Grassmann polynomials (left to right)."""
-        if self.coeff_shape != () or other.coeff_shape != ():
+        """Product of scalar Grassmann polynomials (left to right).
+
+        Family payloads multiply in the ring of Lambda_lambda; a plain
+        coefficient enters as a body-only payload.  Bringing the payload f_b
+        of the right factor past the odd monomial z^{J_a} of the left one
+        costs (-1)^{|J_a| p(f_b)}: split into its even and odd parts, f_b
+        becomes its parity involution when |J_a| is odd.
+        """
+        lam = self.lambda_n if self.lambda_n is not None else other.lambda_n
+        if lam is None and (self.coeff_shape != () or other.coeff_shape != ()):
             raise DimensionError("only scalar Grassmann polynomials multiply")
-        if self.lambda_n is not None or other.lambda_n is not None:
-            raise DimensionError("products of family-valued coefficients are not supported")
+        left, right = self._payload_terms(lam), other._payload_terms(lam)
         terms: dict[tuple[int, ...], object] = {}
-        for Ja, fa in self.terms.items():
-            for Jb, fb in other.terms.items():
+        for Ja, fa in left.items():
+            for Jb, fb in right.items():
                 if set(Ja) & set(Jb):
                     continue
                 sign, J = _merge_odd_indices(Ja, Jb)
-                f = (fa * fb) * sign
+                if lam is None:
+                    f = (fa * fb) * sign
+                else:
+                    if len(Ja) % 2:
+                        fb = PolyMap(self.p, {e: GrassmannElement(lam, c).parity_involution().comps
+                                              for e, c in fb.terms.items()})
+                    f = fa.ring_mul(fb, lam) * sign
                 terms[J] = terms[J] + f if J in terms else f
         if not terms:
-            return GrassmannPoly.zero(self.p, self.q)
-        return GrassmannPoly(self.p, self.q, terms)
+            terms = {(): PolyMap.zero(self.p, () if lam is None else (1 << lam,))}
+        return GrassmannPoly(self.p, self.q, terms, lam)
 
     def parity_of_terms(self) -> Parity | None:
         """Parity contributed by the odd monomials, if homogeneous."""
@@ -515,6 +533,11 @@ class SuperVectorField:
     def coefficient_values(self, coords: Sequence[GrassmannElement]) -> list[GrassmannElement]:
         return [c.value(coords) for c in self.coeffs]
 
+    def coefficient_stack(self, coords: np.ndarray) -> np.ndarray:
+        """The (p + q, 2**n, nodes) coefficient values at (p + q, 2**n, nodes)
+        coordinate columns; see :meth:`GrassmannPoly.value_stack`."""
+        return np.stack([c.value_stack(coords) for c in self.coeffs])
+
 
 def _unit_expo(p: int, i: int) -> tuple[int, ...]:
     e = [0] * p
@@ -552,12 +575,6 @@ class SuperPath:
         self.margin = 1e-2 * max(abs(self.t_end), 1.0) if margin is None else margin
 
     # -- evaluation ------------------------------------------------------------
-
-    def coordinate_values(self, t: float) -> list[GrassmannElement]:
-        return [c(t) for c in self.a]
-
-    def theta_values(self, t: float) -> list[GrassmannElement]:
-        return [c(t) for c in self.b]
 
     def value(self, point: SuperPoint) -> list[GrassmannElement]:
         """Coordinates of the path at an S-point of R^{1|1}."""
@@ -655,13 +672,24 @@ class SuperPath:
     @classmethod
     def piecewise(cls, first: "SuperPath", second: "SuperPath", switch: float,
                   t_end: float) -> "SuperPath":
-        """Concatenation that follows `first` below the switch time."""
+        """Concatenation that follows `first` below the switch time.
+
+        Each piece is sampled only at its own times, since a piece need not
+        be defined beyond its window.
+        """
         if (first.p, first.q, first.n) != (second.p, second.q, second.n):
             raise DimensionError("piecewise pieces have different targets")
 
         def join(c1: Curve, c2: Curve) -> Curve:
-            return Curve(first.n, lambda t: c1(t) if t < switch else c2(t),
-                         lambda: join(c1.derivative(), c2.derivative()))
+            def sample(ts: np.ndarray) -> np.ndarray:
+                out = np.empty((1 << first.n, len(ts)))
+                low = ts < switch
+                for piece, sel in ((c1, low), (c2, ~low)):
+                    if np.any(sel):
+                        out[:, sel] = piece.sample(ts[sel])
+                return out
+
+            return Curve(first.n, sample, lambda: join(c1.derivative(), c2.derivative()))
 
         a = [join(c1, c2) for c1, c2 in zip(first.a, second.a)]
         b = [join(c1, c2) for c1, c2 in zip(first.b, second.b)]
@@ -873,29 +901,35 @@ class Superconnection:
 # ---------------------------------------------------------------------------
 
 
-def _adjoined_coordinates(path: SuperPath, t: float) -> list[GrassmannElement]:
-    """The coordinates a_i(t) + theta*b_i(t) with theta adjoined as one extra
+def _adjoined_coordinates(path: SuperPath, times: np.ndarray) -> np.ndarray:
+    """The (p + q, 2**(n+1), nodes) component columns of the coordinates
+    a_i(t) + theta*b_i(t) at the times, theta adjoined as one extra
     generator."""
     n = path.n
-    return [GrassmannElement(n + 1, adjoin_theta(n, a(t).comps, b(t).comps))
-            for a, b in zip(path.a, path.b)]
+    return np.array([adjoin_theta(n, a.sample(times), b.sample(times))
+                     for a, b in zip(path.a, path.b)]).reshape(-1, 2 << n, len(times))
 
 
 def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
               parities: tuple[Parity, Parity],
-              value_hat: Callable[[float, list[GrassmannElement]], np.ndarray]) -> SuperField:
-    """The field whose value at each node t is ``value_hat(t, coords)``.
+              value_hat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SuperField:
+    """The field whose values at the grid nodes are ``value_hat(times, coords)``.
 
-    ``coords`` are the path coordinates with theta adjoined; the (2**(n+1),
-    r, r) stack returned is split into its theta^0 and theta^1 parts.
+    The nodes go in blocks (:func:`~supertransport.grassmann.node_blocks`),
+    one call per block: ``coords`` are the block's path coordinates with
+    theta adjoined, and the (2**(n+1), nodes, r, r) stack returned is split
+    into its theta^0 and theta^1 parts.
     """
     n = path.n
     r = rank[0] + rank[1]
-    a_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    b_nodes = np.zeros((grid.nodes, 1 << n, r, r))
-    for k, t in enumerate(grid.times()):
-        a_nodes[k], b_nodes[k] = split_theta(n, value_hat(t, _adjoined_coordinates(path, t)))
-    return SuperField(grid, n, a_nodes, b_nodes, tuple(rank), tuple(rank), *parities)
+    times = grid.times()
+    a = np.empty((grid.nodes, 1 << n, r, r))
+    b = np.empty_like(a)
+    for blk in node_blocks(n + 1, grid.nodes, r * r):
+        a_blk, b_blk = split_theta(n, value_hat(times[blk],
+                                                _adjoined_coordinates(path, times[blk])))
+        a[blk], b[blk] = a_blk.swapaxes(0, 1), b_blk.swapaxes(0, 1)
+    return SuperField(grid, n, a, b, tuple(rank), tuple(rank), *parities)
 
 
 def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
@@ -917,15 +951,14 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
     r = conn.rank[0] + conn.rank[1]
     adots = [c.derivative() for c in path.a]
 
-    def value_hat(t: float, coords: list[GrassmannElement]) -> np.ndarray:
-        acc = np.zeros((2 << n, r, r))
-        for coeff, b, adot in zip(conn.coeffs, path.b, adots):
-            b_t, adot_t = b(t).comps, adot(t).comps
+    def value_hat(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        acc = np.zeros((2 << n, len(times), r, r))
+        for coeff, coord, adot in zip(conn.coeffs, coords, adots):
+            b_t, adot_t = split_theta(n, coord)[1], adot.sample(times)
             if not (np.any(b_t) or np.any(adot_t)):
                 continue
             factor = adjoin_theta(n, b_t, theta_sign * adot_t)
-            acc = acc + scale_stack(n + 1, factor, coeff.value_stack(coords, n=n + 1),
-                                    side="right")
+            acc = acc + scale_stack(n + 1, factor, coeff.value_stack(coords), side="right")
         return acc
 
     return _assemble(path, grid, conn.rank, (Parity.ODD, Parity.EVEN), value_hat)
@@ -947,7 +980,7 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
     fn = _odd_monomial_function([form], path.p, form.rank)
     total = form.total_parity
     return _assemble(odd_tangent_lift(path), grid, form.rank, (total, total.flipped()),
-                     lambda t, coords: fn.value_stack(coords, n=path.n + 1))
+                     lambda times, coords: fn.value_stack(coords))
 
 
 def superconnection_coefficient(path: SuperPath, sc: Superconnection, grid: Grid,
@@ -980,7 +1013,7 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
     if endo.coeff_shape != (r, r):
         raise DimensionError("endomorphism shape does not match the rank")
     return _assemble(path, grid, rank, (Parity.ODD, Parity.EVEN),
-                     lambda t, coords: endo.value_stack(coords, n=path.n + 1))
+                     lambda times, coords: endo.value_stack(coords))
 
 
 def odd_tangent_lift(path: SuperPath) -> SuperPath:
@@ -1038,18 +1071,16 @@ def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],
     if path.q != 0:
         raise DimensionError("claim check requires an ordinary target")
     n = path.n
+    ts = np.asarray(ts, dtype=np.float64)
+    xs = np.array([path.a[i].sample(ts) for i in range(path.p)]).reshape(-1, 1 << n, len(ts))
+    etas = [path.b[i].sample(ts) for i in range(path.p)]
+    direct_coords = _adjoined_coordinates(path, ts)
     res = 0.0
     for f in fns:
-        for t in ts:
-            xs = [path.a[i](t) for i in range(path.p)]
-            etas = [path.b[i](t) for i in range(path.p)]
-            lift_a = taylor_eval_stack(f, xs, n=n)
-            lift_b = np.zeros_like(lift_a)
-            for j in range(path.p):
-                dj = taylor_eval_stack(f.partial(j), xs, n=n)
-                lift_b = lift_b + mul_components(n, etas[j].comps, dj)
-            direct = taylor_eval_stack(f, _adjoined_coordinates(path, t), n=n + 1)
-            da, db = split_theta(n, direct)
-            res = max(res, float(np.max(np.abs(da - lift_a))),
-                      float(np.max(np.abs(db - lift_b))))
+        lift_a = taylor_eval_stack(f, xs)
+        lift_b = np.zeros_like(lift_a)
+        for j in range(path.p):
+            lift_b = lift_b + mul_components(n, etas[j], taylor_eval_stack(f.partial(j), xs))
+        da, db = split_theta(n, taylor_eval_stack(f, direct_coords))
+        res = max(res, float(np.max(np.abs(da - lift_a))), float(np.max(np.abs(db - lift_b))))
     return res

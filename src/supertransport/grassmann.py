@@ -18,6 +18,13 @@ goes through one kernel over the 3**n pairs of disjoint keys, sorted by
 product key so that each product component is one segment sum; the soul
 series of a function at an even time is :func:`soul_series`.
 
+Component arrays keep the keys on the leading axis.  A batch axis of grid
+nodes may follow it: (2**n, nodes) for scalars, (2**n, nodes, r, c) for
+matrices.  A factor with fewer axes than its partner (one element times a
+batch, one vector scaling a batch of stacks) is padded on the right, so
+every kernel serves a whole grid in one call; :func:`node_blocks` cuts a
+grid into blocks whose ring-product gathers stay under a fixed size.
+
 Conventions used everywhere downstream:
 
 * products are written left to right, ``e1*e2 == e12 == -(e2*e1)``;
@@ -29,8 +36,11 @@ Conventions used everywhere downstream:
   even elements with nilpotent soul is the terminating Taylor series
   implemented by :func:`taylor_eval`.
 
-Values are immutable after construction, so everything here is safe to share
-between threads.
+Thread safety: elements, graded matrices, polynomial maps and algebra maps
+hold read-only component arrays and are never changed after construction,
+so they may be shared between threads.  The only state filled later is the
+per-size table caches (``functools.lru_cache``), which build equal values
+if two threads race.  A ``SmoothMap`` is as safe as the oracle it wraps.
 """
 
 from __future__ import annotations
@@ -138,16 +148,22 @@ def stack_parity(n: int, comps: np.ndarray, row_split: Sequence[int],
     return next((p for p in Parity if not np.any(comps[total != p])), None)
 
 
+def _keyed(u: np.ndarray, ndim: int) -> np.ndarray:
+    # a key-axis factor padded on the right to an operand's ndim
+    return u.reshape(u.shape + (1,) * (ndim - u.ndim))
+
+
 def _theta_signs(n: int, ndim: int) -> np.ndarray:
     # theta * e_K = (-1)**|K| e_K * theta, and e_K * theta has key K + 2**n
-    return ring_parity_signs(n).reshape((1 << n,) + (1,) * (ndim - 1))
+    return _keyed(ring_parity_signs(n), ndim)
 
 
 def adjoin_theta(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Components of a + theta*b over n + 1 generators, theta = e_{n+1}.
 
-    ``a`` and ``b`` are scalar vectors or matrix stacks over n generators,
-    keys on the leading axis; inverse of :func:`split_theta`.
+    ``a`` and ``b`` are scalar or matrix component arrays over n generators,
+    keys on the leading axis (node batches allowed); inverse of
+    :func:`split_theta`.
     """
     return np.concatenate((a, _theta_signs(n, np.ndim(b)) * b))
 
@@ -170,12 +186,15 @@ def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
 
 
 def mul_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of two scalar component vectors."""
-    return _ring_product(n, u, v, np.multiply)
+    """Product of two scalar component arrays, (2**n,) or (2**n, nodes);
+    a single vector times a node batch multiplies every node."""
+    ndim = max(u.ndim, v.ndim)
+    return _ring_product(n, _keyed(u, ndim), _keyed(v, ndim), np.multiply)
 
 
 def mul_stacks(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise-ring product of two matrix component stacks (2**n, r, c).
+    """Entrywise-ring product of two matrix component stacks, (2**n, r, c)
+    or node batches (2**n, nodes, r, c).
 
     This is the product of matrices over the scalar ring with no block
     bookkeeping; the operator product of graded matrices is
@@ -202,14 +221,16 @@ def graded_mul_stacks(n: int, a: np.ndarray, b: np.ndarray,
     a_o = a * off[None, :, :]
     out = mul_stacks(n, a_d, b)
     if np.any(a_o):
-        b_eps = b * ring_parity_signs(n)[:, None, None]
+        b_eps = b * _keyed(ring_parity_signs(n), b.ndim)
         out = out + mul_stacks(n, a_o, b_eps)
     return out
 
 
 def scale_stack(n: int, u: np.ndarray, m: np.ndarray, side: str = "left") -> np.ndarray:
-    """Multiply a matrix stack by a scalar component vector on one side."""
-    u = u[:, None, None]
+    """Multiply a matrix stack by a scalar on one side: a (2**n, r, c) stack
+    by a vector, or a (2**n, nodes, r, c) batch by a vector or by one
+    (2**n, nodes) scalar per node."""
+    u = _keyed(u, m.ndim)
     if side == "left":
         return _ring_product(n, u, m, np.multiply)
     return _ring_product(n, m, u, np.multiply)
@@ -218,9 +239,11 @@ def scale_stack(n: int, u: np.ndarray, m: np.ndarray, side: str = "left") -> np.
 def soul_series(n: int, soul: np.ndarray, derivative: Callable[[int], np.ndarray]):
     """Terminating Taylor tail sum_{k>=1} soul**k / k! * derivative(k).
 
-    ``derivative(k)`` is a scalar component vector or a matrix stack and is
-    requested for k = 1, 2, ... in turn, only while soul**k is nonzero; the
-    series stops at the first vanishing power (at the latest past k = n).
+    ``soul`` is one vector or a (2**n, nodes) batch of souls, one per node.
+    ``derivative(k)`` is scalar-valued (the soul's shape) or matrix-valued
+    (a stack with the soul's axes first) and is requested for k = 1, 2, ...
+    in turn, only while soul**k is nonzero at some node; the series stops
+    at the first power that vanishes everywhere (at the latest past k = n).
     Returns 0.0 for a zero soul.  The soul is even, so the side it
     multiplies from is immaterial.
     """
@@ -229,10 +252,31 @@ def soul_series(n: int, soul: np.ndarray, derivative: Callable[[int], np.ndarray
     for k in range(1, n + 1):
         if not np.any(power):
             break
-        coeff, d = power / math.factorial(k), derivative(k)
-        out = out + (mul_components(n, coeff, d) if d.ndim == 1 else scale_stack(n, coeff, d))
+        d = derivative(k)
+        if np.any(d):  # a zero derivative adds zeros without a product
+            coeff = power / math.factorial(k)
+            d = mul_components(n, coeff, d) if d.ndim == soul.ndim else scale_stack(n, coeff, d)
+        out = out + d
         power = mul_components(n, power, soul)
     return out
+
+
+# Largest gathered operand of one ring product over a node block, in
+# components (128 KiB of float64).
+_GATHER_CAP = 1 << 14
+
+
+def node_blocks(n: int, nodes: int, entries: int = 1) -> list[slice]:
+    """Consecutive slices covering ``range(nodes)`` for batched ring products.
+
+    A ring product over a block of (2**n, block, r, c) stacks with
+    r * c = ``entries`` gathers 3**n * block * entries components per
+    operand.  Blocks are as long as that allows under the fixed cap, and one
+    node long when a single node exceeds it (for every n >= 9), which is the
+    memory of an unbatched product.
+    """
+    size = max(1, _GATHER_CAP // (3 ** n * entries))
+    return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
 
 
 def key_from_indices(indices: Sequence[int]) -> int:
@@ -517,21 +561,23 @@ class PolyMap:
     def value(self, x: Sequence[float]):
         return self.partial_eval((0,) * self.nvars, x)
 
-    def partial_eval(self, alpha: Sequence[int], x: Sequence[float]):
-        """Evaluate the mixed partial d^alpha f at the real point x."""
+    def partial_eval(self, alpha: Sequence[int], x):
+        """The mixed partial d^alpha f at real points.
+
+        ``x`` has shape (nvars,) + batch, one real point or a batch of them;
+        the result has shape batch + coeff_shape.
+        """
         x = np.asarray(x, dtype=np.float64)
-        acc = np.zeros(self.coeff_shape) if self.coeff_shape else 0.0
+        acc = np.zeros(x.shape[1:] + self.coeff_shape)
         for expo, coeff in self.terms.items():
-            factor = 1.0
+            if any(a > e for e, a in zip(expo, alpha)):
+                continue
+            factor = np.ones(x.shape[1:])
             for e, a, xi in zip(expo, alpha, x):
-                if a > e:
-                    factor = 0.0
-                    break
                 for k in range(a):
                     factor *= e - k
                 factor *= xi ** (e - a)
-            if factor != 0.0:
-                acc = acc + factor * coeff
+            acc = acc + np.multiply.outer(factor, coeff)
         return acc
 
     def partial(self, i: int) -> "PolyMap":
@@ -569,6 +615,11 @@ class PolyMap:
     def matmul(self, other: "PolyMap") -> "PolyMap":
         return self._combine(other, lambda a, b: np.asarray(a) @ np.asarray(b))
 
+    def ring_mul(self, other: "PolyMap", n: int) -> "PolyMap":
+        """Pointwise product of maps valued in component vectors of the
+        algebra on n generators (left factor first)."""
+        return self._combine(other, lambda a, b: mul_components(n, a, b))
+
     def __add__(self, other: "PolyMap") -> "PolyMap":
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -600,88 +651,88 @@ class SmoothMap:
     def value(self, x: Sequence[float]):
         return self.partial_eval((0,) * self.nvars, x)
 
-    def partial_eval(self, alpha: Sequence[int], x: Sequence[float]):
+    def partial_eval(self, alpha: Sequence[int], x):
+        """The oracle at one real point x of shape (nvars,), or at each point
+        of an (nvars, nodes) batch (results stacked on a leading axis)."""
         if sum(alpha) > self.max_order:
             raise CapabilityError(
                 f"derivative oracle supplies order <= {self.max_order}, requested {tuple(alpha)}"
             )
+        x = np.asarray(x, dtype=np.float64)
         if self.domain is not None:
             for xi, (lo, hi) in zip(x, self.domain):
-                if not lo <= xi <= hi:
-                    raise DomainError(f"point {tuple(x)} outside oracle domain")
-        return self._eval(tuple(alpha), np.asarray(x, dtype=np.float64))
+                if not np.all((lo <= xi) & (xi <= hi)):
+                    raise DomainError(f"point {x.tolist()} outside oracle domain")
+        if x.ndim == 1:
+            return self._eval(tuple(alpha), x)
+        return np.stack([np.asarray(self._eval(tuple(alpha), x[:, k]), dtype=np.float64)
+                         for k in range(x.shape[1])])
 
 
-def taylor_eval_stack(f, xs: Sequence[GrassmannElement], order: int | None = None,
-                      n: int | None = None) -> np.ndarray:
-    """Grassmann-analytic extension of ``f`` at even arguments, as a stack.
+def taylor_eval_stack(f, xs: np.ndarray) -> np.ndarray:
+    """Grassmann-analytic extension of ``f`` at even arguments, node by node.
 
-    Returns the component stack of shape (2**n,) + coeff_shape.  The series
-    over souls terminates by nilpotency; ``f`` must supply partials up to the
-    total order actually reached (at most ``n``).  For a nullary ``f`` the
-    algebra size must be passed explicitly.
+    ``xs`` is an (nvars, 2**n, nodes) array: the component columns of every
+    argument at every node.  Returns the (2**n, nodes) + coeff_shape stack of
+    the value at each node.  The series over souls terminates by
+    nilpotency; ``f`` must supply partials up to the total order actually
+    reached (at most ``n``).
     """
-    if not xs:
-        if n is None:
-            raise DimensionError("nullary taylor evaluation needs the algebra size")
-        val = np.asarray(f.value(np.zeros(0)), dtype=np.float64)
-        out = np.zeros((1 << n,) + val.shape)
-        out[0] = val
-        return out
-    n = xs[0].n
-    for x in xs:
-        if x.n != n:
-            raise DimensionError("taylor arguments live over different algebras")
-        if not x.is_even():
-            raise ParityError("taylor arguments must be even")
-    bodies = np.array([x.body for x in xs])
-    max_total = n if order is None else order
-    shape = tuple(np.shape(f.value(bodies)))
-    dim = 1 << n
-    out = np.zeros((dim,) + shape)
+    xs = np.asarray(xs, dtype=np.float64)
+    nvars, dim, nodes = xs.shape
+    n = dim.bit_length() - 1
+    if dim != 1 << n:
+        raise DimensionError(f"argument columns of length {dim} are not 2**n")
+    if nvars and np.any(xs[:, _odd_keys(n)]):
+        raise ParityError("taylor arguments must be even")
+    bodies = xs[:, 0]
+    one = np.zeros((dim, nodes))
+    one[0] = 1.0
 
-    # Precompute soul powers until they vanish.
+    # Soul powers of each argument until they vanish at every node.
     powers: list[list[np.ndarray]] = []
     for x in xs:
-        soul = x.soul().comps
-        pw = [np.zeros(dim)]
-        pw[0][0] = 1.0
-        cur = pw[0]
-        for _ in range(max_total):
-            cur = mul_components(n, cur, soul)
-            if not np.any(cur):
-                break
+        soul = x.copy()
+        soul[0] = 0.0
+        pw = [one]
+        cur = soul
+        while len(pw) <= n and np.any(cur):
             pw.append(cur)
+            cur = mul_components(n, cur, soul)
         powers.append(pw)
 
-    alpha = [0] * len(xs)
+    # Every multi-index alpha whose soul-power product is nonzero somewhere,
+    # in lexicographic order: (alpha, prod_i soul_i**alpha_i, alpha!).
+    expansion = [((), one, 1.0)]
+    for pw in powers:
+        grown = []
+        for alpha, prod, denom in expansion:
+            for k in range(min(n - sum(alpha), len(pw) - 1) + 1):
+                # soul powers are even, hence central; order of factors is free
+                new = prod if k == 0 else mul_components(n, prod, pw[k])
+                if k == 0 or np.any(new):
+                    grown.append((alpha + (k,), new, denom * math.factorial(k)))
+        expansion = grown
 
-    def recurse(var: int, budget: int, prod: np.ndarray, denom: float):
-        if var == len(xs):
-            coeff = np.asarray(f.partial_eval(tuple(alpha), bodies), dtype=np.float64)
-            out_view = np.multiply.outer(prod, coeff) / denom
-            np.copyto(out, out + out_view.reshape(out.shape))
-            return
-        pw = powers[var]
-        for k in range(min(budget, len(pw) - 1) + 1):
-            alpha[var] = k
-            # soul powers are even, hence central; order of factors is free
-            new_prod = prod if k == 0 else mul_components(n, prod, pw[k])
-            if k >= 1 and not np.any(new_prod):
-                continue
-            recurse(var + 1, budget - k, new_prod, denom * math.factorial(k))
-        alpha[var] = 0
-
-    recurse(0, max_total, powers[0][0], 1.0)
+    out = None
+    for alpha, prod, denom in expansion:
+        coeff = np.asarray(f.partial_eval(alpha, bodies), dtype=np.float64)
+        term = _keyed(prod, coeff.ndim + 1) * coeff / denom
+        out = term if out is None else out + term
     return out
 
 
-def taylor_eval(f, xs: Sequence[GrassmannElement], order: int | None = None) -> GrassmannElement:
-    """Scalar Grassmann-analytic evaluation; see :func:`taylor_eval_stack`."""
-    stack = taylor_eval_stack(f, xs, order=order)
+def taylor_eval(f, xs: Sequence[GrassmannElement]) -> GrassmannElement:
+    """Scalar Grassmann-analytic evaluation at one point; see
+    :func:`taylor_eval_stack`."""
+    if not xs:
+        raise DimensionError("taylor evaluation needs at least one argument")
+    n = xs[0].n
+    if any(x.n != n for x in xs):
+        raise DimensionError("taylor arguments live over different algebras")
+    stack = taylor_eval_stack(f, np.stack([x.comps for x in xs])[:, :, None])[:, 0]
     if stack.ndim != 1:
         raise DimensionError("taylor_eval expects a scalar-valued function")
-    n = xs[0].n if xs else 0
     return GrassmannElement(n, stack)
 
 
@@ -940,13 +991,17 @@ class AlgebraMap:
         key_images.setflags(write=False)
         self._key_images = key_images
 
+    def apply_components(self, comps: np.ndarray) -> np.ndarray:
+        """Images of component arrays, keys on the leading axis."""
+        return np.tensordot(self._key_images, comps, axes=(0, 0))
+
     def apply(self, u: GrassmannElement) -> GrassmannElement:
         if u.n != self.n_from:
             raise DimensionError("element lives over the wrong source algebra")
-        return GrassmannElement(self.n_to, u.comps @ self._key_images)
+        return GrassmannElement(self.n_to, self.apply_components(u.comps))
 
     def apply_matrix(self, m: GradedMatrix) -> GradedMatrix:
         if m.n != self.n_from:
             raise DimensionError("matrix lives over the wrong source algebra")
-        comps = np.einsum("kt,krc->trc", self._key_images, m.comps)
-        return GradedMatrix(self.n_to, comps, m.row_split, m.col_split, m.parity, check=False)
+        return GradedMatrix(self.n_to, self.apply_components(m.comps), m.row_split,
+                            m.col_split, m.parity, check=False)

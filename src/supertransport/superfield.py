@@ -139,8 +139,10 @@ class Grid:
             raise DomainError(f"time {t} is not a node of the grid")
         return ki
 
-    def contains(self, t: float, slack: float = 1e-9) -> bool:
-        return self.t0 - slack <= t <= self.t_end + slack
+    def contains(self, t, slack: float = 1e-9):
+        """Whether the time (elementwise for an array of times) lies in the
+        grid window."""
+        return (self.t0 - slack <= t) & (t <= self.t_end + slack)
 
     @classmethod
     def over(cls, t_start: float, t_stop: float, nodes: int) -> "Grid":
@@ -169,26 +171,34 @@ def fd4_stack(stack: np.ndarray, h: float) -> np.ndarray:
     return out / h
 
 
-def lagrange_weights(ts: np.ndarray, t: float) -> np.ndarray:
-    w = np.ones(len(ts))
-    for k in range(len(ts)):
-        for l in range(len(ts)):
-            if l != k:
-                w[k] *= (t - ts[l]) / (ts[k] - ts[l])
-    return w
+def lagrange_weights(ts: np.ndarray, t) -> np.ndarray:
+    """Lagrange basis weights at time t for the nodes ts on the last axis;
+    a 1-D array of times goes with one row of nodes per time."""
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    off = ~np.eye(ts.shape[-1], dtype=bool)
+    num = t - ts[..., None, :]
+    den = ts[..., :, None] - ts[..., None, :]
+    # w_k = prod_{l != k} (t - ts_l) / (ts_k - ts_l), factors in order of l
+    return np.where(off, num / np.where(off, den, 1.0), 1.0).prod(axis=-1)
 
 
-def interpolate_stack(grid: Grid, stack: np.ndarray, t: float) -> np.ndarray:
-    """Quartic Lagrange interpolation of a node stack at a real time."""
-    if not grid.contains(t):
+def interpolate_stack(grid: Grid, stack: np.ndarray, t) -> np.ndarray:
+    """Quartic Lagrange interpolation of a node stack at a real time.
+
+    For a 1-D array of times the result gains a leading time axis.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(grid.contains(t)):
         raise DomainError(f"time {t} outside grid window [{grid.t0}, {grid.t_end}]")
     if grid.nodes < 5:
         raise ResolutionError("interpolation needs at least 5 grid nodes")
-    center = int(round((t - grid.t0) / grid.h))
-    start = min(max(center - 2, 0), grid.nodes - 5)
-    ts = grid.t0 + grid.h * np.arange(start, start + 5)
-    w = lagrange_weights(ts, t)
-    return np.tensordot(w, stack[start:start + 5], axes=(0, 0))
+    start = np.clip(np.rint((t - grid.t0) / grid.h).astype(int) - 2, 0, grid.nodes - 5)
+    idx = start[..., None] + np.arange(5)
+    w = lagrange_weights(grid.t0 + grid.h * idx, t)
+    if t.ndim == 0:
+        # a window view, not a gathered copy: solver stacks can be large
+        return np.tensordot(w, stack[start:start + 5], axes=(0, 0))
+    return np.einsum("jk,jk...->j...", w, stack[idx])
 
 
 class SuperField:
@@ -222,6 +232,8 @@ class SuperField:
         self.col_split = tuple(col_split)
         self.a_parity = a_parity
         self.b_parity = b_parity
+        # derivative stacks, filled once per key; a racing second fill
+        # computes an equal stack, so a field may be shared between threads
         self._dcache: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -250,14 +262,6 @@ class SuperField:
     def b_matrix(self, k: int) -> GradedMatrix:
         return GradedMatrix(self.n, self.b[k], self.row_split, self.col_split,
                             self.b_parity, check=False)
-
-    def a_at(self, t: float) -> GradedMatrix:
-        return GradedMatrix(self.n, interpolate_stack(self.grid, self.a, t),
-                            self.row_split, self.col_split, self.a_parity, check=False)
-
-    def b_at(self, t: float) -> GradedMatrix:
-        return GradedMatrix(self.n, interpolate_stack(self.grid, self.b, t),
-                            self.row_split, self.col_split, self.b_parity, check=False)
 
     def _derivative_stack(self, which: str, order: int) -> np.ndarray:
         key = (which, order)

@@ -54,6 +54,7 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     graded_mul_stacks,
+    node_blocks,
     scale_stack,
     soul_series,
     split_parities,
@@ -107,17 +108,17 @@ def _reduced_matrix_stacks(field: SuperField, variant: str) -> np.ndarray:
     """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant).
 
     All products are graded operator products; eps is the total-parity
-    involution.
+    involution.  One batched product per block of nodes.
     """
     n = field.n
     rows = split_parities(field.row_split)
-    eps_sign = 1.0 - 2.0 * total_parities(n, field.row_split, field.row_split)
-    out = np.empty_like(field.a)
-    for k in range(field.grid.nodes):
-        C = field.a[k]
-        epsC_C = graded_mul_stacks(n, C * eps_sign, C, rows, rows)
-        out[k] = epsC_C - field.b[k] if variant == "D" else field.b[k] - epsC_C
-    return out
+    eps_sign = (1.0 - 2.0 * total_parities(n, field.row_split, field.row_split))[:, None]
+    C, Dm = field.a.swapaxes(0, 1), field.b.swapaxes(0, 1)
+    out = np.empty_like(C)
+    for blk in node_blocks(n, field.grid.nodes, len(rows) ** 2):
+        epsC_C = graded_mul_stacks(n, C[:, blk] * eps_sign, C[:, blk], rows, rows)
+        out[:, blk] = epsC_C - Dm[:, blk] if variant == "D" else Dm[:, blk] - epsC_C
+    return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
 def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
@@ -332,10 +333,10 @@ def glue(path: SuperPath, path2: SuperPath, joint: SuperPoint,
     t_joint = joint.t.body
     eps = eps_overlap if eps_overlap is not None else 1e-2 * max(abs(t_joint) + abs(path2.t_end), 1.0)
     translated = path.translated(joint)
+    us = np.linspace(-eps / 2, eps / 2, samples)
     worst = 0.0
-    for u in np.linspace(-eps / 2, eps / 2, samples):
-        for c1, c2 in zip(translated.a + translated.b, path2.a + path2.b):
-            worst = max(worst, (c1(u) - c2(u)).norm())
+    for c1, c2 in zip(translated.a + translated.b, path2.a + path2.b):
+        worst = max(worst, float(np.max(np.abs(c1.sample(us) - c2.sample(us)))))
     if worst > tol:
         raise CompatibilityError(f"paths differ by {worst} on the overlap")
     branch2 = path2.shifted_by_inverse(joint, t_joint + path2.t_end)
@@ -359,13 +360,13 @@ def reparametrize(path: SuperPath, r: Curve, new_t_end: float,
     ``r`` must be strictly increasing on [0, new_t_end] (checked on samples)
     and is expected to fix 0.
     """
-    dr = r.derivative()
-    for u in np.linspace(0.0, new_t_end, samples):
-        v = dr(u)
-        if v.soul().norm() != 0.0:
-            raise OrientationError("reparametrization must be real-valued")
-        if v.body <= 0.0:
-            raise OrientationError(f"reparametrization has r'({u}) = {v.body} <= 0")
+    us = np.linspace(0.0, new_t_end, samples)
+    v = r.derivative().sample(us)
+    if np.any(v[1:]):
+        raise OrientationError("reparametrization must be real-valued")
+    if np.any(v[0] <= 0.0):
+        k = int(np.argmax(v[0] <= 0.0))
+        raise OrientationError(f"reparametrization has r'({us[k]}) = {v[0, k]} <= 0")
     return path.reparametrized(r, new_t_end)
 
 

@@ -192,3 +192,32 @@ class TestFlowOdd:
         x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
         assert x.allclose(G.scalar(n, 0.5) + c * end.t, 1e-14)
         assert z.norm() == 0.0
+
+    def test_family_valued_field_squaring_to_zero(self):
+        # X = e1 d/dx + d/dz over Lambda_4 has X^2 = 0, so the flow from
+        # (0.5, 0) stays put; the soul e23/2 + e14 has a nonzero square, so
+        # the series asks for the second derivative, built from X^2
+        n = 4
+        X = SuperVectorField(1, 1, Parity.ODD, [
+            GrassmannPoly.lambda_constant(1, 1, G.generator(n, 1)),
+            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+        ])
+        end = SuperPoint(G.from_terms(n, {(): 1.0, (2, 3): 0.5, (1, 4): 1.0}), G.zero(n))
+        x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
+        assert x == G.scalar(n, 0.5)
+        assert z.norm() == 0.0
+
+    def test_family_valued_field_at_soul_with_nonzero_square(self):
+        # the field of test_family_valued_field_at_soulful_time at
+        # t = 1 + e13 + e24, whose soul squares to 2 e1324: the series
+        # reaches k = 2, and the flow is still x = 0.5 + c t
+        n = 4
+        c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
+        X = SuperVectorField(1, 1, Parity.ODD, [
+            GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
+            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+        ])
+        end = SuperPoint(G.from_terms(n, {(): 1.0, (1, 3): 1.0, (2, 4): 1.0}), G.zero(n))
+        x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
+        assert x.allclose(G.scalar(n, 0.5) + c * end.t, 1e-14)
+        assert z.norm() == 0.0

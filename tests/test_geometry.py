@@ -14,6 +14,7 @@ from supertransport.geometry import (
     Superconnection,
     chart_claim_residual,
     connection_coefficient,
+    endomorphism_term,
     lift_pullback,
     odd_tangent_data,
     odd_tangent_lift,
@@ -50,7 +51,7 @@ class TestCurve:
         assert abs(dd(t).body + 2.0 * 9.0 * np.cos(3.0 * t + 0.4)) < 1e-12
 
     def test_fd_fallback(self):
-        c = Curve(2, lambda t: G.scalar(2, np.exp(0.5 * t)))
+        c = Curve(2, lambda ts: np.outer(G.one(2).comps, np.exp(0.5 * ts)))
         d = c.derivative()
         assert abs(d(0.3).body - 0.5 * np.exp(0.15)) < 1e-10
 
@@ -381,3 +382,189 @@ class TestVectorFields:
         bad = GrassmannPoly(1, 1, {(): PolyMap.constant(1, 1.0)})  # even term
         with pytest.raises(ParityError):
             SuperVectorField(1, 1, Parity.ODD, [bad, bad])
+
+    def test_family_valued_products_are_multiplicative(self):
+        # (f g)(c) = f(c) g(c) for family payloads of mixed parity passing
+        # odd monomials, and for a plain factor on either side
+        lam, n = 3, 5
+        f = GrassmannPoly(1, 2, {
+            (0,): PolyMap(1, {(0,): G.from_terms(lam, {(): 1.0, (1,): 0.5, (1, 2): -0.25}).comps,
+                              (1,): G.from_terms(lam, {(3,): 0.75}).comps}),
+            (): PolyMap(1, {(2,): G.from_terms(lam, {(2,): 1.0, (): 0.5}).comps})}, lambda_n=lam)
+        g = GrassmannPoly(1, 2, {
+            (1,): PolyMap(1, {(1,): G.from_terms(lam, {(2,): -1.0, (1, 3): 0.5}).comps}),
+            (0, 1): PolyMap(1, {(0,): G.from_terms(lam, {(): 2.0, (3,): 1.0}).comps})},
+            lambda_n=lam)
+        h = GrassmannPoly(1, 2, {(1,): PolyMap(1, {(1,): 0.7}), (): PolyMap(1, {(0,): -1.5})})
+        coords = [G.from_terms(n, {(): 0.3, (4, 5): 0.2, (1, 4): -0.5}),
+                  G.from_terms(n, {(4,): 1.0, (1, 2, 5): 0.3}),
+                  G.from_terms(n, {(5,): 0.5, (2,): 0.25})]
+        for a, b in ((f, g), (g, f), (f, h), (h, g), (f, f)):
+            got = (a * b).value(coords)
+            assert got.allclose(a.value(coords) * b.value(coords), 1e-14)
+        assert (f + h).value(coords).allclose(f.value(coords) + h.value(coords), 1e-14)
+
+
+# -- the batched assembler, node by node against dictionary arithmetic -----------
+
+
+def _eta_split(u, n):
+    """u = u0 + eta*u1 over n + 1 generators, eta = e_{n+1} on the left."""
+    u0, u1 = {}, {}
+    for key, c in u.items():
+        if key and key[-1] == n + 1:
+            u1 = gadd(u1, {key[:-1]: (-1) ** (len(key) - 1) * c})
+        else:
+            u0 = gadd(u0, {key: c})
+    return u0, u1
+
+
+def _poly_at(coeffs, s):
+    """sum_k coeffs[k] s^k for dictionary coefficients and argument."""
+    out, power = {}, {(): 1.0}
+    for c in coeffs:
+        out = gadd(out, gmul(c, power))
+        power = gmul(power, s)
+    return out
+
+
+def _gpoly_at(gp, r, c, coords):
+    """Entry (r, c) of sum_J f_J(x) z^J at dictionary coordinates."""
+    out = {}
+    for J, f in gp.terms.items():
+        val = {}
+        for expo, coeff in f.terms.items():
+            term = {(): float(np.asarray(coeff)[r, c])}
+            for x, e in zip(coords[:gp.p], expo):
+                for _ in range(e):
+                    term = gmul(term, x)
+            val = gadd(val, term)
+        for j in J:
+            val = gmul(val, coords[gp.p + j])
+        out = gadd(out, val)
+    return out
+
+
+def _check_against_dictionaries(path, conn, endo, grid, nodes, n):
+    """``nodes[k]`` holds the theta-adjoined coordinates and the velocities
+    a_i' at grid node k, as dictionaries; eta = e_{n+1} is the theta slot."""
+    eta = {(n + 1,): 1.0}
+    fields = {v: connection_coefficient(path, conn, grid, v) for v in ("D", "Q")}
+    fields["endo"] = endomorphism_term(path, endo, grid, conn.rank)
+    for k, (coords, adots) in enumerate(nodes):
+        for r, c in np.ndindex(2, 2):
+            want = {"endo": _gpoly_at(endo, r, c, coords)}
+            for v, sign in (("D", 1.0), ("Q", -1.0)):
+                want[v] = {}
+                for coeff, x, adot in zip(conn.coeffs, coords, adots):
+                    factor = gadd(_eta_split(x, n)[1], gmul(eta, {key: sign * cf for key, cf in adot.items()}))
+                    want[v] = gadd(want[v], gmul(_gpoly_at(coeff, r, c, coords), factor))
+            for key, fld in fields.items():
+                w0, w1 = _eta_split(want[key], n)
+                assert np.max(np.abs(to_components(w0, n) - fld.a[k, :, r, c])) < 1e-12
+                assert np.max(np.abs(to_components(w1, n) - fld.b[k, :, r, c])) < 1e-12
+
+
+class TestBatchedAssembly:
+    def test_lifted_reversal_against_dictionaries(self, rng):
+        # coordinates of the reversed lift at (u, eta): the base path at
+        # (u, eta)^{-1} (t0, th0) = (t0 - u - eta th0, th0 - eta), expanded in
+        # dictionary arithmetic with eta = e4; the time shift has a soul
+        from supertransport.verify import random_superconnection
+        n, p = 3, 2
+        eta = {(n + 1,): 1.0}
+        a_coeffs = [[{(): 0.1}, {(): 0.8}, {(): -0.3, (1, 2): 0.2}],
+                    [{(): -0.2, (2, 3): 0.1}, {(): 0.5}, {(): 0.25}]]
+        b_coeffs = [[{(1,): 0.5, (3,): 0.3}, {(2,): -0.2}],
+                    [{(2,): 0.4}, {(1,): 0.1, (1, 2, 3): 0.3}]]
+        t0, th0 = {(): 0.8, (1, 3): 0.3}, {(2,): 0.5, (3,): 0.2}
+        base = SuperPath.from_polynomials(
+            n, [[G.from_terms(n, c) for c in cs] for cs in a_coeffs],
+            [[G.from_terms(n, c) for c in cs] for cs in b_coeffs], 1.0)
+        end = SuperPoint(G.from_terms(n, t0), G.from_terms(n, th0))
+        path = odd_tangent_lift(base).reversed_through(end)
+        conn, endo = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        grid = Grid(0.0, 0.1, 9)
+
+        def deriv(cs):
+            return [{key: k * cf for key, cf in c.items()} for k, c in enumerate(cs)][1:]
+
+        def minus(u):
+            return {key: -cf for key, cf in u.items()}
+
+        nodes = []
+        for u in grid.times():
+            s = gadd(gadd(t0, {(): -u}), minus(gmul(eta, th0)))
+            sigma = gadd(th0, minus(eta))
+            s0 = gadd(t0, {(): -u})
+            coords = [gadd(_poly_at(a, s), gmul(sigma, _poly_at(b, s)))
+                      for a, b in zip(a_coeffs, b_coeffs)]
+            coords += [_poly_at(b, s) for b in b_coeffs]
+            adots = [minus(gadd(_poly_at(deriv(a), s0), gmul(th0, _poly_at(deriv(b), s0))))
+                     for a, b in zip(a_coeffs, b_coeffs)]
+            adots += [minus(_poly_at(deriv(b), s0)) for b in b_coeffs]
+            nodes.append((coords, adots))
+        _check_against_dictionaries(path, conn, endo, grid, nodes, n)
+
+    def test_glued_sampled_pieces_against_dictionaries(self, rng):
+        # two paths given by samples (quartic interpolation reproduces their
+        # cubic components), glued at a joint; the second piece is sampled
+        # on [-0.1, 0.6] only, so it must not be asked for times below the
+        # joint.  Coordinates per node come from one-time curve calls.
+        from supertransport.transport import glue
+        from supertransport.verify import random_superconnection
+        n, p = 3, 2
+        poly = SuperPath.from_polynomials(
+            n, [[G.scalar(n, 0.1), G.scalar(n, 0.8), G.monomial(n, (1, 2), 0.2)],
+                [G.scalar(n, -0.2), G.scalar(n, 0.5), G.scalar(n, 0.3)]],
+            [[G.generator(n, 1) * 0.5, G.generator(n, 3) * 0.2], [G.generator(n, 2) * 0.4]], 1.2)
+        joint = SuperPoint(G.scalar(n, 0.5), G.generator(n, 2) * 0.5)
+
+        def sampled(src, grid, t_end):
+            return SuperPath(p, 0, n, [Curve.from_samples(n, grid, [c(t) for t in grid.times()])
+                                       for c in src.a],
+                             [Curve.from_samples(n, grid, [c(t) for t in grid.times()])
+                              for c in src.b], t_end)
+
+        first = sampled(poly, Grid(0.0, 0.05, 25), 1.2)
+        second = sampled(poly.translated(joint), Grid(-0.1, 0.05, 15), 0.6)
+        glued = odd_tangent_lift(glue(first, second, joint))
+        conn, endo = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        grid = Grid(0.0, 0.1, 11)
+        eta = {(n + 1,): 1.0}
+        nodes = []
+        for t in grid.times():
+            coords = [gadd(from_element(a(t)), gmul(eta, from_element(b(t))))
+                      for a, b in zip(glued.a, glued.b)]
+            nodes.append((coords, [from_element(a.derivative()(t)) for a in glued.a]))
+        _check_against_dictionaries(glued, conn, endo, grid, nodes, n)
+
+    def test_value_hat_runs_once_per_node_block(self, rng, monkeypatch):
+        from supertransport import geometry, grassmann
+        from supertransport.verify import random_path
+        n = 3
+        path = random_path(rng, n, 2)
+        conn = Connection.from_matrix_polys(2, (1, 1), [
+            PolyMap(2, {(1, 0): np.diag([0.3, -0.2]), (0, 2): np.diag([0.1, 0.4])}),
+            PolyMap(2, {(0, 0): np.diag([-0.5, 0.2])})])
+        grid = Grid(0.0, 0.05, 21)
+        blocks = []
+
+        def value_hat(times, coords):
+            blocks.append(len(times))
+            return np.zeros((2 << n, len(times), 2, 2))
+
+        geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
+        assert blocks == [21]
+        whole = connection_coefficient(path, conn, grid)
+        # a cap of five nodes' gathers: blocks of 5, and the same field
+        monkeypatch.setattr(grassmann, "_GATHER_CAP", 5 * 3 ** (n + 1) * 4)
+        blocks.clear()
+        geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
+        assert blocks == [5, 5, 5, 5, 1]
+        sampled = []
+        adjoined = geometry._adjoined_coordinates
+        monkeypatch.setattr(geometry, "_adjoined_coordinates",
+                            lambda pth, times: sampled.append(len(times)) or adjoined(pth, times))
+        assert connection_coefficient(path, conn, grid).distance(whole) == 0.0
+        assert sampled == [5, 5, 5, 5, 1]

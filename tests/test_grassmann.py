@@ -17,11 +17,14 @@ from supertransport.grassmann import (
     SmoothMap,
     adjoin_theta,
     graded_expm,
+    mul_components,
     mul_stacks,
+    node_blocks,
     scale_stack,
     soul_series,
     split_theta,
     taylor_eval,
+    taylor_eval_stack,
 )
 
 from reference import (
@@ -206,6 +209,42 @@ def test_soul_series_stops_at_first_vanishing_power():
     soul_series(n, e12.comps, derivative)
     assert asked == [1]
     assert soul_series(n, np.zeros(1 << n), derivative) == 0.0 and asked == [1]
+
+
+def test_node_blocks_keep_one_gather_under_the_cap():
+    from supertransport.grassmann import _GATHER_CAP
+    for n in range(13):
+        for entries in (1, 4, 16):
+            blocks = node_blocks(n, 101, entries)
+            assert [i for blk in blocks for i in range(101)[blk]] == list(range(101))
+            size = blocks[0].stop - blocks[0].start
+            if n >= 10:
+                assert size == 1  # one node per product, as without batching
+            else:
+                assert size == 1 or 3 ** n * size * entries <= _GATHER_CAP
+    # the benchmark's chart problem (N = 4 plus theta, rank 1|1) is one block
+    assert len(node_blocks(5, 13, 4)) == 1
+
+
+def test_batched_kernels_match_node_by_node(rng):
+    n, nodes = 3, 4
+    dim = 1 << n
+    u = rng.uniform(-1, 1, (dim, nodes))
+    v = rng.uniform(-1, 1, (dim, nodes))
+    w = rng.uniform(-1, 1, dim)
+    m = rng.uniform(-1, 1, (dim, nodes, 2, 3))
+    uv, wv, um = mul_components(n, u, v), mul_components(n, w, v), scale_stack(n, u, m, "right")
+    for k in range(nodes):
+        assert np.array_equal(uv[:, k], mul_components(n, u[:, k], v[:, k]))
+        assert np.array_equal(wv[:, k], mul_components(n, w, v[:, k]))
+        assert np.array_equal(um[:, k], scale_stack(n, u[:, k], m[:, k], "right"))
+    even = np.stack([GrassmannElement(n, col).even_part().comps for col in u.T], axis=1)
+    f = PolyMap(2, {(1, 0): np.eye(2), (2, 1): np.array([[0.5, -1.0], [0.25, 2.0]])})
+    xs = np.stack([even, np.roll(even, 1, axis=1)])
+    batch = taylor_eval_stack(f, xs)
+    for k in range(nodes):
+        assert np.allclose(batch[:, k], taylor_eval_stack(f, xs[:, :, k:k + 1])[:, 0],
+                           rtol=0.0, atol=1e-15)
 
 
 class TestTaylor:
