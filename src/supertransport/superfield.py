@@ -139,10 +139,8 @@ class Grid:
             raise DomainError(f"time {t} is not a node of the grid")
         return ki
 
-    def contains(self, t, slack: float = 1e-9):
-        """Whether the time (elementwise for an array of times) lies in the
-        grid window."""
-        return (self.t0 - slack <= t) & (t <= self.t_end + slack)
+    def contains(self, t: float, slack: float = 1e-9) -> bool:
+        return self.t0 - slack <= t <= self.t_end + slack
 
     @classmethod
     def over(cls, t_start: float, t_stop: float, nodes: int) -> "Grid":
@@ -188,11 +186,12 @@ def interpolate_stack(grid: Grid, stack: np.ndarray, t) -> np.ndarray:
     For a 1-D array of times the result gains a leading time axis.
     """
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(grid.contains(t)):
+    if not (grid.contains(t.min()) and grid.contains(t.max())):
         raise DomainError(f"time {t} outside grid window [{grid.t0}, {grid.t_end}]")
     if grid.nodes < 5:
         raise ResolutionError("interpolation needs at least 5 grid nodes")
-    start = np.clip(np.rint((t - grid.t0) / grid.h).astype(int) - 2, 0, grid.nodes - 5)
+    start = np.minimum(np.maximum(np.rint((t - grid.t0) / grid.h).astype(int) - 2, 0),
+                       grid.nodes - 5)
     idx = start[..., None] + np.arange(5)
     w = lagrange_weights(grid.t0 + grid.h * idx, t)
     if t.ndim == 0:
