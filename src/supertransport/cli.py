@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -125,14 +126,22 @@ class Dims:
     rank: tuple[int, int]
 
 
+@functools.cache
+def _config_validator():
+    """Validator for CONFIG_SCHEMA; the schema itself is checked once."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def _validate(config: dict):
     if jsonschema is None:
         if config.get("schema") != 1:
             raise ConfigError("config must declare schema version 1")
         return
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, from the prebuilt validator
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    if exc is not None:
         raise ConfigError(f"config schema violation at {list(exc.absolute_path)}: {exc.message}")
 
 

@@ -22,7 +22,7 @@ Points of R^{1|1} carry the group law (t, theta)(t', theta') =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,8 +31,11 @@ from .grassmann import (
     GradedMatrix,
     GrassmannElement,
     Parity,
+    graded_mul_stacks,
+    node_blocks,
     scale_stack,
     soul_series,
+    split_parities,
     total_parities,
 )
 
@@ -169,6 +172,21 @@ def fd4_stack(stack: np.ndarray, h: float) -> np.ndarray:
     return out / h
 
 
+def fd4_chain(stack: np.ndarray, h: float) -> Callable[[int], np.ndarray]:
+    """k -> the k-th :func:`fd4_stack` derivative of a node stack, each
+    order computed once.  A racing second fill computes an equal stack, so
+    a chain may be shared between threads."""
+    cache = {0: stack}
+
+    def derivative(k: int) -> np.ndarray:
+        for j in range(1, k + 1):
+            if j not in cache:
+                cache[j] = fd4_stack(cache[j - 1], h)
+        return cache[k]
+
+    return derivative
+
+
 def lagrange_weights(ts: np.ndarray, t) -> np.ndarray:
     """Lagrange basis weights at time t for the nodes ts on the last axis;
     a 1-D array of times goes with one row of nodes per time."""
@@ -200,6 +218,20 @@ def interpolate_stack(grid: Grid, stack: np.ndarray, t) -> np.ndarray:
     return np.einsum("jk,jk...->j...", w, stack[idx])
 
 
+def taylor_stack_at(grid: Grid, derivative: Callable[[int], np.ndarray],
+                    t: GrassmannElement) -> np.ndarray:
+    """A node stack at an even time with nilpotent soul: the terminating
+    Taylor series around the body, ``derivative(k)`` being the stack's k-th
+    time derivative on the grid (k = 0 the stack itself)."""
+    if not t.is_even():
+        raise ParityError("time argument must be even")
+
+    def at_body(k: int) -> np.ndarray:
+        return interpolate_stack(grid, derivative(k), t.body)
+
+    return at_body(0) + soul_series(t.n, t.soul().comps, at_body)
+
+
 class SuperField:
     """A (matrix-valued) function a(t) + theta*b(t) on S x R^{1|1}.
 
@@ -209,7 +241,7 @@ class SuperField:
     """
 
     __slots__ = ("grid", "n", "a", "b", "row_split", "col_split",
-                 "a_parity", "b_parity", "_dcache")
+                 "a_parity", "b_parity", "_derivatives")
 
     def __init__(self, grid: Grid, n: int, a: np.ndarray, b: np.ndarray,
                  row_split: tuple[int, int], col_split: tuple[int, int],
@@ -231,22 +263,7 @@ class SuperField:
         self.col_split = tuple(col_split)
         self.a_parity = a_parity
         self.b_parity = b_parity
-        # derivative stacks, filled once per key; a racing second fill
-        # computes an equal stack, so a field may be shared between threads
-        self._dcache: dict = {}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_matrices(cls, grid: Grid, a_nodes: Sequence[GradedMatrix],
-                      b_nodes: Sequence[GradedMatrix]) -> "SuperField":
-        if len(a_nodes) != grid.nodes or len(b_nodes) != grid.nodes:
-            raise DimensionError("node count mismatch")
-        first = a_nodes[0]
-        a = np.stack([m.comps for m in a_nodes])
-        b = np.stack([m.comps for m in b_nodes])
-        return cls(grid, first.n, a, b, first.row_split, first.col_split,
-                   a_nodes[0].parity, b_nodes[0].parity)
+        self._derivatives = {"a": fd4_chain(self.a, grid.h), "b": fd4_chain(self.b, grid.h)}
 
     @property
     def value_parity(self) -> Parity | None:
@@ -262,31 +279,13 @@ class SuperField:
         return GradedMatrix(self.n, self.b[k], self.row_split, self.col_split,
                             self.b_parity, check=False)
 
-    def _derivative_stack(self, which: str, order: int) -> np.ndarray:
-        key = (which, order)
-        if key not in self._dcache:
-            if order == 0:
-                self._dcache[key] = self.a if which == "a" else self.b
-            else:
-                self._dcache[key] = fd4_stack(self._derivative_stack(which, order - 1), self.grid.h)
-        return self._dcache[key]
-
-    def _taylor_stack_at(self, which: str, t: GrassmannElement) -> np.ndarray:
-        if not t.is_even():
-            raise ParityError("time argument must be even")
-
-        def at_body(k: int) -> np.ndarray:
-            return interpolate_stack(self.grid, self._derivative_stack(which, k), t.body)
-
-        return at_body(0) + soul_series(self.n, t.soul().comps, at_body)
-
     def a_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
         """Evaluate the theta^0 part at an even time with nilpotent soul."""
-        return GradedMatrix(self.n, self._taylor_stack_at("a", t),
+        return GradedMatrix(self.n, taylor_stack_at(self.grid, self._derivatives["a"], t),
                             self.row_split, self.col_split, self.a_parity, check=False)
 
     def b_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
-        return GradedMatrix(self.n, self._taylor_stack_at("b", t),
+        return GradedMatrix(self.n, taylor_stack_at(self.grid, self._derivatives["b"], t),
                             self.row_split, self.col_split, self.b_parity, check=False)
 
     def value_at(self, point: SuperPoint) -> GradedMatrix:
@@ -305,7 +304,7 @@ class SuperField:
         """
         if self.grid.nodes < 5:
             raise ResolutionError("derivation needs at least 5 grid nodes")
-        da = self._derivative_stack("a", 1)
+        da = self._derivatives["a"](1)
         if which == "D":
             return SuperField(self.grid, self.n, self.b, da, self.row_split,
                               self.col_split, self.b_parity, self.a_parity)
@@ -313,7 +312,7 @@ class SuperField:
             return SuperField(self.grid, self.n, self.b, -da, self.row_split,
                               self.col_split, self.b_parity, self.a_parity)
         if which == "dt":
-            db = self._derivative_stack("b", 1)
+            db = self._derivatives["b"](1)
             return SuperField(self.grid, self.n, da, db, self.row_split,
                               self.col_split, self.a_parity, self.b_parity)
         raise ValueError(f"unknown derivation {which!r}; expected 'D', 'Q' or 'dt'")
@@ -348,17 +347,24 @@ class SuperField:
         self._check_same_grid(other)
         if self.col_split != other.row_split:
             raise DimensionError("block structure mismatch in field product")
-        out_a = []
-        out_b = []
-        for k in range(self.grid.nodes):
-            lhs_a = self.a_matrix(k)
-            lhs_b = self.b_matrix(k)
-            rhs_a = other.a_matrix(k)
-            rhs_b = other.b_matrix(k)
+        n = self.n
+        rows, mid = split_parities(self.row_split), split_parities(self.col_split)
+        eps = 1.0 - 2.0 * total_parities(n, self.row_split, self.col_split)[:, None]
+        a, b = self.a.swapaxes(0, 1), self.b.swapaxes(0, 1)
+        a2, b2 = other.a.swapaxes(0, 1), other.b.swapaxes(0, 1)
+        out_a = np.empty(a.shape[:3] + a2.shape[3:])
+        out_b = np.empty_like(out_a)
+        for blk in node_blocks(n, self.grid.nodes, max(a[0, 0].size, a2[0, 0].size)):
             # (a + th b)(a' + th b') = a a' + th (b a' + eps(a) b')
-            out_a.append(lhs_a @ rhs_a)
-            out_b.append(lhs_b @ rhs_a + lhs_a.parity_involution() @ rhs_b)
-        return SuperField.from_matrices(self.grid, out_a, out_b)
+            out_a[:, blk] = graded_mul_stacks(n, a[:, blk], a2[:, blk], rows, mid)
+            out_b[:, blk] = (graded_mul_stacks(n, b[:, blk], a2[:, blk], rows, mid)
+                             + graded_mul_stacks(n, eps * a[:, blk], b2[:, blk], rows, mid))
+        b_parts = (Parity.combine(self.b_parity, other.a_parity),
+                   Parity.combine(self.a_parity, other.b_parity))
+        return SuperField(self.grid, n, out_a.swapaxes(0, 1), out_b.swapaxes(0, 1),
+                          self.row_split, other.col_split,
+                          Parity.combine(self.a_parity, other.a_parity),
+                          b_parts[0] if b_parts[0] == b_parts[1] else None)
 
     def _check_same_grid(self, other: "SuperField"):
         if self.grid != other.grid or self.n != other.n:
@@ -400,25 +406,21 @@ class SuperField:
         if shift.soul().norm() != 0.0:
             raise DimensionError("field substitution supports real shifts only; "
                                  "use path-level substitution for soulful shifts")
-        da = self._derivative_stack("a", 1)
-        db = self._derivative_stack("b", 1)
-        rho_tau_zero = rho.norm() == 0.0 and tau.norm() == 0.0
-        taurho = (tau * rho) if not rho_tau_zero else None
-        new_a = []
-        new_b = []
-        for u in new_grid.times():
-            s = sign * u + shift.body
-            a_s = interpolate_stack(self.grid, self.a, s)
-            b_s = interpolate_stack(self.grid, self.b, s)
-            da_s = interpolate_stack(self.grid, da, s)
-            db_s = interpolate_stack(self.grid, db, s)
-            A = a_s + scale_stack(self.n, tau.comps, b_s, side="left")
-            B = scale_stack(self.n, rho.comps, da_s, side="left") + e * b_s
+        n = self.n
+        times = sign * new_grid.times() + shift.body
+        a, b, da, db = (interpolate_stack(self.grid, stack, times).swapaxes(0, 1)
+                        for stack in (self.a, self.b, self._derivatives["a"](1),
+                                      self._derivatives["b"](1)))
+        taurho = None if rho.norm() == 0.0 and tau.norm() == 0.0 else tau * rho
+        new_a = np.empty_like(a)
+        new_b = np.empty_like(b)
+        for blk in node_blocks(n, new_grid.nodes, a[0, 0].size):
+            new_a[:, blk] = a[:, blk] + scale_stack(n, tau.comps, b[:, blk], side="left")
+            B = scale_stack(n, rho.comps, da[:, blk], side="left") + e * b[:, blk]
             if taurho is not None:
-                B = B - scale_stack(self.n, taurho.comps, db_s, side="left")
-            new_a.append(A)
-            new_b.append(B)
-        return SuperField(new_grid, self.n, np.stack(new_a), np.stack(new_b),
+                B = B - scale_stack(n, taurho.comps, db[:, blk], side="left")
+            new_b[:, blk] = B
+        return SuperField(new_grid, n, new_a.swapaxes(0, 1), new_b.swapaxes(0, 1),
                           self.row_split, self.col_split, self.a_parity, self.b_parity)
 
     def right_translated(self, point: SuperPoint, new_grid: Grid) -> "SuperField":

@@ -62,7 +62,14 @@ from .grassmann import (
     stack_parity,
     total_parities,
 )
-from .superfield import Grid, SuperField, SuperPoint, fd4_stack, interpolate_stack
+from .superfield import (
+    Grid,
+    SuperField,
+    SuperPoint,
+    fd4_chain,
+    interpolate_stack,
+    taylor_stack_at,
+)
 
 DEFAULT_STEPS = 400
 
@@ -104,18 +111,20 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_matrix_stacks(field: SuperField, variant: str) -> np.ndarray:
+def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
+                           row_split: tuple[int, int], variant: str) -> np.ndarray:
     """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant).
 
-    All products are graded operator products; eps is the total-parity
-    involution.  One batched product per block of nodes.
+    ``a`` and ``b`` hold C and Dm of a batch of problems as
+    (nodes, 2**n, problems, r, r) stacks.  All products are graded operator
+    products; eps is the total-parity involution.  One batched product per
+    block of nodes.
     """
-    n = field.n
-    rows = split_parities(field.row_split)
-    eps_sign = (1.0 - 2.0 * total_parities(n, field.row_split, field.row_split))[:, None]
-    C, Dm = field.a.swapaxes(0, 1), field.b.swapaxes(0, 1)
+    rows = split_parities(row_split)
+    eps_sign = (1.0 - 2.0 * total_parities(n, row_split, row_split))[:, None, None]
+    C, Dm = a.swapaxes(0, 1), b.swapaxes(0, 1)
     out = np.empty_like(C)
-    for blk in node_blocks(n, field.grid.nodes, len(rows) ** 2):
+    for blk in node_blocks(n, a.shape[0], a[0, 0].size):
         epsC_C = graded_mul_stacks(n, C[:, blk] * eps_sign, C[:, blk], rows, rows)
         out[:, blk] = epsC_C - Dm[:, blk] if variant == "D" else Dm[:, blk] - epsC_C
     return np.ascontiguousarray(out.swapaxes(0, 1))
@@ -131,75 +140,92 @@ def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
     GradedMatrix mapping initial values to values at the endpoint, or the
     transported vector when ``psi0`` is given.
     """
-    if variant not in ("D", "Q"):
-        raise ValueError("variant must be 'D' or 'Q'")
-    if end.n != field.n:
-        raise DimensionError("endpoint lives over a different algebra")
-    if field.a_parity not in (None, Parity.ODD) or field.b_parity not in (None, Parity.EVEN):
-        raise ParityError("coefficient field must be odd (theta part even) "
-                          "for the parallel equation to be parity consistent")
-    grid = field.grid
-    body = end.t.body
-    if not (grid.contains(0.0) and grid.contains(body)):
-        raise DomainError(f"endpoint time {body} outside the coefficient grid")
-    i0 = grid.index_of(0.0)
-    i1 = grid.index_of(body)
-    if (i1 - i0) % 2:
-        raise DomainError("endpoint does not sit on a full solver step")
-
-    n = field.n
-    M = _reduced_matrix_stacks(field, variant)
-    rows = split_parities(field.row_split)
-    r = field.a.shape[2]
-    X = np.zeros((1 << n, r, r))
-    X[0] = np.eye(r)
-    h = 2.0 * grid.h * (1 if i1 >= i0 else -1)
-    steps = abs(i1 - i0) // 2
-    idx = i0
-    direction = 2 if i1 >= i0 else -2
-    for _ in range(steps):
-        M0 = M[idx]
-        Mh = M[idx + direction // 2]
-        M1 = M[idx + direction]
-        k1 = graded_mul_stacks(n, M0, X, rows, rows)
-        k2 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k1, rows, rows)
-        k3 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k2, rows, rows)
-        k4 = graded_mul_stacks(n, M1, X + h * k3, rows, rows)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        idx += direction
-
-    X = X + _taylor_endpoint(field, M, X, body, end.t.soul().comps)
-
-    C_end = field.a_taylor_at(end.t)
-    B_stack = -graded_mul_stacks(n, C_end.comps, X, rows, rows)
-    map_stack = X + scale_stack(n, end.theta.comps, B_stack, side="left")
-    parity = stack_parity(n, map_stack, field.row_split, field.col_split)
-    matrix = GradedMatrix(n, map_stack, field.row_split, field.col_split, parity, check=False)
+    matrix, = _march([field], end, variant)
     if psi0 is not None:
         return matrix.apply(psi0)
     return matrix
 
 
-def _taylor_endpoint(field: SuperField, M: np.ndarray, X: np.ndarray, body: float,
-                     soul: np.ndarray):
+def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[GradedMatrix]:
+    """Fundamental maps at one endpoint for a batch of coefficient fields.
+
+    Every field is checked as :func:`solve_parallel` checks one, and the
+    batch must share the grid, the algebra and the block splits.  The
+    fields' stacks gain a problem axis right after the key axis and march
+    in blocks of problems from :func:`node_blocks`; for n >= 9 a block is
+    one problem, so no ring product gathers more than a single march does.
+    """
+    if variant not in ("D", "Q"):
+        raise ValueError("variant must be 'D' or 'Q'")
+    body = end.t.body
+    for field in fields:
+        if end.n != field.n:
+            raise DimensionError("endpoint lives over a different algebra")
+        if field.a_parity not in (None, Parity.ODD) or field.b_parity not in (None, Parity.EVEN):
+            raise ParityError("coefficient field must be odd (theta part even) "
+                              "for the parallel equation to be parity consistent")
+        grid = field.grid
+        if not (grid.contains(0.0) and grid.contains(body)):
+            raise DomainError(f"endpoint time {body} outside the coefficient grid")
+        i0 = grid.index_of(0.0)
+        i1 = grid.index_of(body)
+        if (i1 - i0) % 2:
+            raise DomainError("endpoint does not sit on a full solver step")
+    first = fields[0]
+    layout = (first.grid, first.row_split, first.col_split)
+    if any((f.grid, f.row_split, f.col_split) != layout for f in fields):
+        raise DimensionError("batched fields must share the grid and the block splits")
+
+    n = first.n
+    rows = split_parities(first.row_split)
+    r = first.a.shape[2]
+    h = 2.0 * grid.h * (1 if i1 >= i0 else -1)
+    direction = 2 if i1 >= i0 else -2
+    soul = end.t.soul().comps
+    maps = np.empty((1 << n, len(fields), r, r))
+    for blk in node_blocks(n, len(fields), r * r):
+        a = np.stack([f.a for f in fields[blk]], axis=2)
+        b = np.stack([f.b for f in fields[blk]], axis=2)
+        M = _reduced_matrix_stacks(n, a, b, first.row_split, variant)
+        X = np.zeros((1 << n,) + M.shape[2:])
+        X[0] = np.eye(r)
+        for idx in range(i0, i1, direction):
+            M0 = M[idx]
+            Mh = M[idx + direction // 2]
+            M1 = M[idx + direction]
+            k1 = graded_mul_stacks(n, M0, X, rows, rows)
+            k2 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k1, rows, rows)
+            k3 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k2, rows, rows)
+            k4 = graded_mul_stacks(n, M1, X + h * k3, rows, rows)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        X = X + _taylor_endpoint(n, grid, M, X, body, soul, rows)
+
+        C_end = taylor_stack_at(grid, fd4_chain(a, grid.h), end.t)
+        B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
+        maps[:, blk] = X + scale_stack(n, end.theta.comps, B_stack, side="left")
+    return [GradedMatrix(n, maps[:, k], first.row_split, first.col_split,
+                         stack_parity(n, maps[:, k], first.row_split, first.col_split),
+                         check=False)
+            for k in range(len(fields))]
+
+
+def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: float,
+                     soul: np.ndarray, rows: np.ndarray):
     """Soul tail of the fundamental solution's terminating Taylor series.
 
     Derivatives of the solution are generated from the equation
     X' = M X by the Leibniz recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j);
     derivatives of M come from grid stencils.
     """
-    n = field.n
-    rows = split_parities(field.row_split)
-    m_stacks = [M]
+    m_derivative = fd4_chain(M, grid.h)
     x_derivs = [X]
 
     def x_derivative(k: int) -> np.ndarray:
-        while len(m_stacks) < k:
-            m_stacks.append(fd4_stack(m_stacks[-1], field.grid.h))
         # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j)
         acc = np.zeros_like(X)
         for j in range(k):
-            Mj = interpolate_stack(field.grid, m_stacks[j], body)
+            Mj = interpolate_stack(grid, m_derivative(j), body)
             acc = acc + math.comb(k - 1, j) * graded_mul_stacks(n, Mj, x_derivs[k - 1 - j], rows, rows)
         x_derivs.append(acc)
         return acc
@@ -385,19 +411,21 @@ def adiabatic_sweep(path: SuperPath, sc: Superconnection, lambdas: Sequence[floa
     limit map the distances refer to.
     """
     for lam in lambdas:
-        if lam <= 0.0:
-            raise DomainError("sweep parameters must be positive")
+        if not 0.0 < lam < math.inf:
+            raise DomainError("sweep parameters must be positive and finite")
     grid = _solve_grid(path, end, steps)
     conn_field = connection_coefficient(path, sc.connection, grid, "D")
     lift_fields = [lift_pullback(path, w, grid) for w in sc.forms]
-    limit_matrix = solve_parallel(conn_field, end, "D")
-    limit = TransportMap(limit_matrix, end)
-    entries = []
+    fields = [conn_field]
     for lam in lambdas:
         field = conn_field
         for lf in lift_fields:
             field = field + lf.scaled(-math.sqrt(lam))
-        matrix = solve_parallel(field, end, "D")
+        fields.append(field)
+    limit_matrix, *matrices = _march(fields, end, "D")
+    limit = TransportMap(limit_matrix, end)
+    entries = []
+    for lam, matrix in zip(lambdas, matrices):
         entry = TransportMap(matrix, end)
         entries.append(SweepEntry(lam, entry, entry.distance(limit)))
     return entries, limit

@@ -145,11 +145,15 @@ def transport_oracle(field, end_body: float, variant: str = "D",
     2**n real components per entry and hands the flat system to an adaptive
     reference integrator; returns the flat fundamental matrix.
     """
-    from supertransport.transport import _reduced_matrix_stacks
     from supertransport.superfield import interpolate_stack
 
     n = field.n
-    M = _reduced_matrix_stacks(field, variant)
+    M = []
+    for k in range(field.grid.nodes):
+        C, Dm = field.a_matrix(k), field.b_matrix(k)
+        epsC_C = C.parity_involution() @ C
+        M.append((epsC_C - Dm if variant == "D" else Dm - epsC_C).comps)
+    M = np.stack(M)
     grid = field.grid
     split = field.row_split
 

@@ -68,6 +68,41 @@ class TestErrors:
         bad.write_text(json.dumps({"schema": 2, "dims": {}}))
         assert run_cli(["transport", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("cfg", [
+        {"schema": 2, "dims": {}},
+        {"schema": 1, "dims": {"p": "two", "N": 2, "rank_even": 1, "rank_odd": 1}},
+        {"dims": {"p": 2, "N": 2, "rank_even": 1, "rank_odd": 1}},
+    ])
+    def test_schema_violation_message(self, tmp_path, capsys, cfg):
+        import jsonschema
+        with pytest.raises(jsonschema.ValidationError) as raised:
+            jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        want = f"config schema violation at {list(raised.value.absolute_path)}: {raised.value.message}"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["transport", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": want}
+
+    def test_schema_checked_once(self, tmp_path, monkeypatch, capsys):
+        import jsonschema
+        cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+        check_schema = cls.check_schema
+        calls = []
+
+        def counted(schema, *args, **kwargs):
+            calls.append(schema)
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", counted)
+        cli._config_validator.cache_clear()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 2, "dims": {}}))
+        assert run_cli(["transport", "--config", str(bad)]) == 1
+        assert run_cli(["transport", "--config", str(CONFIGS / "point_case.json"),
+                        "--steps", "8", "--out", str(tmp_path / "map.json")]) == 0
+        assert calls == [cli.CONFIG_SCHEMA]
+
     def test_missing_file_exit_1(self):
         assert run_cli(["transport", "--config", "/no/such/file.json"]) == 1
 

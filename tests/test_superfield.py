@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supertransport.errors import ParityError, ResolutionError
-from supertransport.grassmann import GrassmannElement, Parity
-from supertransport.superfield import Grid, SuperField, SuperPoint, group_inv, group_mul, super_lt
+from supertransport.grassmann import GrassmannElement, Parity, scale_stack, total_parities
+from supertransport.superfield import (
+    Grid,
+    SuperField,
+    SuperPoint,
+    fd4_stack,
+    group_inv,
+    group_mul,
+    interpolate_stack,
+    super_lt,
+)
 
 
 def scalar_field(n, grid, a_of_t, b_of_t):
@@ -174,3 +183,54 @@ class TestSubstitution:
         lhs = field.inverted(inv_grid).apply_derivation("D")
         rhs = field.apply_derivation("Q").inverted(inv_grid).scaled(-1.0)
         assert lhs.distance(rhs) < 1e-8
+
+
+def graded_field(rng, n, grid, rows, cols, a_parity, b_parity):
+    total = total_parities(n, rows, cols)
+    shape = (grid.nodes, 1 << n, sum(rows), sum(cols))
+    a = rng.uniform(-1, 1, shape) * (total == a_parity)
+    b = rng.uniform(-1, 1, shape) * (total == b_parity)
+    return SuperField(grid, n, a, b, rows, cols, a_parity, b_parity)
+
+
+class TestBatchedFieldOps:
+    """The whole-grid field operations against their node-by-node formulas."""
+
+    @pytest.mark.parametrize("rhs_parities", [(Parity.EVEN, Parity.ODD), (Parity.EVEN, Parity.EVEN)])
+    def test_matmul_equals_node_by_node(self, rng, rhs_parities):
+        n, grid = 3, Grid(0.0, 1e-2, 21)
+        f = graded_field(rng, n, grid, (1, 1), (2, 1), Parity.ODD, Parity.EVEN)
+        g = graded_field(rng, n, grid, (2, 1), (1, 0), *rhs_parities)
+        prod = f.matmul(g)
+        for k in range(grid.nodes):
+            a, b, a2, b2 = f.a_matrix(k), f.b_matrix(k), g.a_matrix(k), g.b_matrix(k)
+            want_a = a @ a2
+            want_b = b @ a2 + a.parity_involution() @ b2
+            assert np.array_equal(prod.a[k], want_a.comps)
+            assert np.array_equal(prod.b[k], want_b.comps)
+        assert (prod.a_parity, prod.b_parity) == (want_a.parity, want_b.parity)
+        assert (prod.row_split, prod.col_split) == ((1, 1), (1, 0))
+        assert prod.parity_residual() == 0.0
+
+    def test_substitute_equals_node_by_node(self, rng):
+        n, grid = 3, Grid(-1.0, 1e-2, 201)
+        field = graded_field(rng, n, grid, (1, 1), (1, 1), Parity.ODD, Parity.EVEN)
+        G = GrassmannElement
+        shift = SuperPoint(G.scalar(n, 0.3), G.generator(n, 1) * 0.4 + G.generator(n, 3) * 0.2)
+        da, db = (fd4_stack(s, grid.h) for s in (field.a, field.b))
+        # batched and scalar interpolation sum the same five terms in another order
+        tol = 8 * np.finfo(float).eps * max(np.abs(st).max() for st in (field.a, field.b, da, db))
+        cases = [(field.right_translated(shift, Grid(0.0, 1e-2, 61)), 1.0, shift.t.body,
+                  shift.theta, shift.theta, 1.0),
+                 (field.inverted(Grid(-0.9, 1e-2, 181)), -1.0, 0.0, G.zero(n), G.zero(n), -1.0)]
+        for got, sign, shift_body, rho, tau, e in cases:
+            for k, u in enumerate(got.grid.times()):
+                s = sign * u + shift_body
+                a_s, b_s, da_s, db_s = (interpolate_stack(grid, st, s)
+                                        for st in (field.a, field.b, da, db))
+                want_a = a_s + scale_stack(n, tau.comps, b_s)
+                want_b = (scale_stack(n, rho.comps, da_s) + e * b_s
+                          - scale_stack(n, (tau * rho).comps, db_s))
+                assert np.max(np.abs(got.a[k] - want_a)) <= tol
+                assert np.max(np.abs(got.b[k] - want_b)) <= tol
+            assert (got.a_parity, got.b_parity) == (Parity.ODD, Parity.EVEN)

@@ -1,6 +1,7 @@
 """The half-order solver and the transport-map operations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from supertransport.geometry import (
     SuperPath,
     Superconnection,
     connection_coefficient,
+    lift_pullback,
     superconnection_coefficient,
 )
 from supertransport.grassmann import (
@@ -342,6 +344,132 @@ class TestAdiabatic:
         path = random_path(rng, n, 2)
         with pytest.raises(DomainError):
             adiabatic_sweep(path, sc, [1.0, 0.0], SuperPoint.at(n, 1.0))
+
+    @pytest.mark.parametrize("lambdas", [[1.0, math.nan], [math.inf]])
+    def test_rejects_non_finite_before_assembly(self, rng, monkeypatch, lambdas):
+        import supertransport.transport as transport
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("a field was assembled")
+
+        monkeypatch.setattr(transport, "connection_coefficient", assemble)
+        monkeypatch.setattr(transport, "lift_pullback", assemble)
+        n = 2
+        sc = random_superconnection(rng, 2, (1, 1))
+        path = random_path(rng, n, 2)
+        with pytest.raises(DomainError, match="sweep parameters must be positive and finite"):
+            adiabatic_sweep(path, sc, lambdas, SuperPoint.at(n, 1.0))
+
+
+def soulful_end(n):
+    t = G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3) + G.monomial(n, (3, 4), -0.2)
+    return SuperPoint(t, G.generator(n, 1) * 0.5 + G.generator(n, 4) * 0.25)
+
+
+def sweep_fields(path, sc, lambdas, grid, variant):
+    """The limit field and the sqrt(lambda)-scaled fields, built as the sweep does."""
+    conn = connection_coefficient(path, sc.connection, grid, variant)
+    lifts = [lift_pullback(path, w, grid) for w in sc.forms]
+    fields = [conn]
+    for lam in lambdas:
+        field = conn
+        for lf in lifts:
+            field = field + lf.scaled(-math.sqrt(lam))
+        fields.append(field)
+    return fields
+
+
+def same_map(got, want):
+    return (np.array_equal(got.comps, want.comps) and got.parity == want.parity
+            and (got.row_split, got.col_split) == (want.row_split, want.col_split))
+
+
+class TestBatchedMarch:
+    def test_sweep_equals_separate_solves(self, rng):
+        n, steps, lambdas = 4, 20, [1.0, 0.5, 2.0 ** -6]
+        sc = random_superconnection(rng, 2, (1, 1))
+        path = random_path(rng, n, 2)
+        end = soulful_end(n)
+        entries, limit = adiabatic_sweep(path, sc, lambdas, end, steps=steps)
+        fields = sweep_fields(path, sc, lambdas, Grid.over(0.0, 1.0, 2 * steps + 1), "D")
+        want = [solve_parallel(f, end) for f in fields]
+        assert same_map(limit.matrix, want[0])
+        for entry, lam, single in zip(entries, lambdas, want[1:]):
+            assert entry.lam == lam and same_map(entry.map.matrix, single)
+            assert entry.distance_to_limit == TransportMap(single, end).distance(limit)
+
+    @pytest.mark.parametrize("variant", ["D", "Q"])
+    def test_batch_equals_separate_solves(self, rng, variant):
+        from supertransport.transport import _march
+        n = 4
+        sc = random_superconnection(rng, 2, (1, 1))
+        path = random_path(rng, n, 2)
+        end = soulful_end(n)
+        fields = sweep_fields(path, sc, [1.0, 0.25], Grid.over(0.0, 1.0, 41), variant)
+        for got, field in zip(_march(fields, end, variant), fields):
+            assert same_map(got, solve_parallel(field, end, variant))
+
+    def test_mixed_batch_raises_like_a_single_solve(self):
+        from supertransport.errors import DimensionError
+        from supertransport.superfield import SuperField
+        from supertransport.transport import _march
+
+        def zero_field(grid, n=2, parities=(Parity.ODD, Parity.EVEN)):
+            stacks = np.zeros((grid.nodes, 1 << n, 2, 2))
+            return SuperField(grid, n, stacks, stacks, (1, 1), (1, 1), *parities)
+
+        grid = Grid(0.0, 2.5e-3, 401)
+        end = SuperPoint.at(2, 1.0)
+        good = zero_field(grid)
+        bad_fields = [
+            zero_field(grid, parities=(Parity.EVEN, Parity.ODD)),  # wrong parity
+            zero_field(Grid(0.0, 2.5e-3, 201)),  # endpoint outside the grid
+            zero_field(Grid(0.0, 1.0 / 401, 402)),  # endpoint on an odd node offset
+            zero_field(grid, n=3),  # another algebra
+        ]
+        for bad in bad_fields:
+            with pytest.raises(Exception) as single:
+                solve_parallel(bad, end)
+            for batch in ([good, bad], [bad, good]):
+                with pytest.raises(type(single.value), match=re.escape(str(single.value))):
+                    _march(batch, end, "D")
+        other_grid = zero_field(Grid(0.0, 1.25e-3, 801))
+        assert same_map(solve_parallel(other_grid, end), solve_parallel(good, end))
+        with pytest.raises(DimensionError):
+            _march([good, other_grid], end, "D")
+
+    def test_large_algebra_marches_one_problem_per_product(self, rng, monkeypatch):
+        # one problem at n = 9 already fills the gather cap, so a batch of
+        # three must split into single problems: no ring product gathers
+        # more than one node of one problem
+        import supertransport.grassmann as grassmann
+        from supertransport.superfield import SuperField
+        from supertransport.transport import _march
+
+        n, r = 9, 2
+        grid = Grid.over(0.0, 1.0, 5)
+        odd = grassmann.total_parities(n, (1, 1), (1, 1)).astype(bool)
+        fields = []
+        for _ in range(3):
+            a = rng.uniform(-0.1, 0.1, (grid.nodes, 1 << n, r, r)) * odd
+            b = rng.uniform(-0.1, 0.1, (grid.nodes, 1 << n, r, r)) * ~odd
+            fields.append(SuperField(grid, n, a, b, (1, 1), (1, 1), Parity.ODD, Parity.EVEN))
+        end = SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3), G.generator(n, 3))
+        single = [solve_parallel(f, end) for f in fields]
+
+        gathers = []
+        ring_product = grassmann._ring_product
+
+        def spy(n, a, b, op):
+            gathers.append(3 ** n * max(a[0].size, b[0].size))
+            return ring_product(n, a, b, op)
+
+        monkeypatch.setattr(grassmann, "_ring_product", spy)
+        batched = _march(fields, end, "D")
+        assert 3 ** n * r * r > grassmann._GATHER_CAP
+        assert max(gathers) == 3 ** n * r * r
+        for got, want in zip(batched, single):
+            assert same_map(got, want)
 
 
 class TestRecover:
