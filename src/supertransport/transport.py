@@ -9,9 +9,9 @@ psi = a + theta*b) to
     a'(t) = +eps(C) b + Dm a = (Dm - eps(C) C) a        (Q variant)
 
 where eps is the total-parity involution.  The solver marches the
-fundamental matrix of the reduced equation with the classical fourth-order
-scheme; coefficient fields are sampled at half-step resolution so every
-stage value is exact.  Endpoints whose time coordinate carries a soul are
+fundamental matrices of a batch of such equations on one grid together
+with the classical fourth-order scheme; coefficient fields are sampled at
+half-step resolution so every stage value is exact.  Endpoints whose time coordinate carries a soul are
 reached by the terminating Taylor series with derivatives generated from
 the right-hand side.
 
@@ -62,14 +62,7 @@ from .grassmann import (
     stack_parity,
     total_parities,
 )
-from .superfield import (
-    Grid,
-    SuperField,
-    SuperPoint,
-    fd4_chain,
-    interpolate_stack,
-    taylor_stack_at,
-)
+from .superfield import Grid, SuperField, SuperPoint, fd4_chain, interpolate_stack, taylor_stack_at
 
 DEFAULT_STEPS = 400
 
