@@ -11,9 +11,9 @@ psi = a + theta*b) to
 where eps is the total-parity involution.  The solver marches the
 fundamental matrices of a batch of such equations on one grid together
 with the classical fourth-order scheme; coefficient fields are sampled at
-half-step resolution so every stage value is exact.  Endpoints whose time coordinate carries a soul are
-reached by the terminating Taylor series with derivatives generated from
-the right-hand side.
+half-step resolution so every stage value is exact.  Endpoints whose time
+coordinate carries a soul are reached by the terminating Taylor series
+with derivatives generated from the right-hand side.
 
 On top of the solver live the transport-map constructors and the path
 operations: gluing, reversal, reparametrization, adiabatic sweeps, and the
