@@ -157,27 +157,30 @@ def _grassmann(value, n: int) -> GrassmannElement:
     return GrassmannElement.from_json_dict(n, value)
 
 
-def _poly_terms(terms: list, p: int, q: int, rank, require_shape: bool = True) -> GrassmannPoly:
+def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
+    """A list of polynomial terms as a function on R^{p|q}: scalar-valued
+    ("value") without a rank, (r x r)-valued ("matrix", or "value" times the
+    identity) with one.  Equal monomials add up."""
+    shape = () if rank is None else (sum(rank),) * 2
     by_odd: dict[tuple[int, ...], dict] = {}
-    r = rank[0] + rank[1]
     for term in terms:
         expo = tuple(int(e) for e in term["exponents"])
         if len(expo) != p:
             raise ConfigError(f"exponent vector {expo} does not match p={p}")
-        odd = tuple(sorted(int(i) - 1 for i in term.get("odd_indices", [])))
+        odd = tuple(int(i) - 1 for i in term.get("odd_indices", []))
+        if list(odd) != sorted(set(odd)) or any(j >= q for j in odd):
+            raise ConfigError(f"odd indices {[j + 1 for j in odd]} must increase strictly "
+                              f"within 1..{q}")
         if "matrix" in term:
             coeff = np.asarray(term["matrix"], dtype=float)
-            if require_shape and coeff.shape != (r, r):
-                raise ConfigError(f"matrix shape {coeff.shape} does not match rank {r}")
         else:
-            coeff = np.full((r, r), 0.0)
-            coeff[:] = float(term.get("value", 0.0)) * np.eye(r)
+            coeff = float(term.get("value", 0.0)) * (np.eye(shape[0]) if shape else 1.0)
+        if np.shape(coeff) != shape:
+            raise ConfigError(f"matrix shape {coeff.shape} does not match {shape}")
         slot = by_odd.setdefault(odd, {})
-        slot[expo] = slot.get(expo, np.zeros((r, r))) + coeff
+        slot[expo] = slot.get(expo, 0.0) + coeff
     gp_terms = {odd: PolyMap(p, slot) for odd, slot in by_odd.items()}
-    if not gp_terms:
-        gp_terms = {(): PolyMap.zero(p, (r, r))}
-    return GrassmannPoly(p, q, gp_terms, rank=rank)
+    return GrassmannPoly(p, q, gp_terms or {(): PolyMap.zero(p, shape)}, rank=rank)
 
 
 def _superconnection(config: dict, dims: Dims) -> Superconnection:
@@ -262,17 +265,7 @@ def _vector_field(cfg: dict, dims: Dims) -> SuperVectorField:
     coeff_cfg = cfg["coefficients"]
     if len(coeff_cfg) != dims.p + dims.q:
         raise ConfigError(f"vector field needs {dims.p + dims.q} coefficients")
-    coeffs = []
-    for terms in coeff_cfg:
-        by_odd: dict[tuple[int, ...], dict] = {}
-        for term in terms:
-            expo = tuple(int(e) for e in term["exponents"])
-            odd = tuple(sorted(int(i) - 1 for i in term.get("odd_indices", [])))
-            by_odd.setdefault(odd, {})[expo] = float(term.get("value", 0.0))
-        gp_terms = {odd: PolyMap(dims.p, slot) for odd, slot in by_odd.items()}
-        if not gp_terms:
-            gp_terms = {(): PolyMap.zero(dims.p)}
-        coeffs.append(GrassmannPoly(dims.p, dims.q, gp_terms))
+    coeffs = [_poly_terms(terms, dims.p, dims.q) for terms in coeff_cfg]
     return SuperVectorField(dims.p, dims.q, parity, coeffs)
 
 

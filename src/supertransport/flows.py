@@ -113,16 +113,12 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     return Trajectory(times, states, n)
 
 
-def _adjoined(n: int, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    # the coordinates G^i + theta*H^i, theta adjoined as generator n+1;
-    # (ncoords, 2**n, nodes) columns in, (ncoords, 2**(n+1), nodes) out
-    return np.stack([adjoin_theta(n, g, h) for g, h in zip(G, H)])
-
-
 def _odd_rhs(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
     """theta-component of a(G + theta*a(G)), theta adjoined as generator n+1."""
+    # the coordinates G^i + theta*a_i(G), keys moved first for adjoin_theta
     coords = state[:, :, None]
-    coords_hat = _adjoined(n, coords, field.coefficient_stack(coords))
+    coords_hat = adjoin_theta(n, coords.swapaxes(0, 1),
+                              field.coefficient_stack(coords).swapaxes(0, 1)).swapaxes(0, 1)
     # the theta-free part of each value is a_i(G) = H^i by construction
     out = np.stack([split_theta(n, v[:, 0])[1] for v in field.coefficient_stack(coords_hat)])
     if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
@@ -206,7 +202,8 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     res = 0.0
     for blk in node_blocks(n + 1, len(times)):
         H = field.coefficient_stack(G[:, :, blk])
-        for i, value in enumerate(field.coefficient_stack(_adjoined(n, G[:, :, blk], H))):
+        alpha = adjoin_theta(n, G[:, :, blk].swapaxes(0, 1), H.swapaxes(0, 1)).swapaxes(0, 1)
+        for i, value in enumerate(field.coefficient_stack(alpha)):
             a_part, b_part = split_theta(n, value)
             # D(alpha^i) = H^i + theta * dG^i/dt must equal a_i(alpha)
             res = max(res, float(np.max(np.abs(a_part - H[i]))),

@@ -9,8 +9,9 @@ with a trivialized rank re|ro bundle over it.  The building blocks are
 * `SuperPath` -- the theta-expansion x_i(t) + theta*y_i(t) of a supercurve
   into R^{p|q}, one (even, odd) curve pair per coordinate;
 * `GrassmannPoly` -- a function on R^{p|q}: a finite sum of even-variable
-  polynomial (or smooth-oracle) coefficients times monomials in the odd
-  coordinates; vector-field and connection coefficients live here;
+  coefficients times monomials in the odd coordinates, each coefficient a
+  polynomial computed in the ring or a smooth oracle summed as its Taylor
+  series; vector-field and connection coefficients live here;
 * `DifferentialForm`, `Connection`, `Superconnection` -- the transported data.
 
 Sign conventions: theta-expansions are kept in left-normal form (theta
@@ -42,13 +43,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegreeError, DimensionError, DomainError, ParityError
+from .errors import CapabilityError, DegreeError, DimensionError, DomainError, ParityError
 from .grassmann import (
     AlgebraMap,
     GrassmannElement,
     Parity,
     PolyMap,
     adjoin_theta,
+    monomial_table,
+    mul_blocked,
     mul_components,
     node_blocks,
     parities_present,
@@ -265,9 +268,10 @@ class GrassmannPoly:
     one shape.  The coefficient is always written to the left of the odd
     monomial.
 
-    When ``lambda_n`` is set the coefficient maps are valued in component
-    vectors of the scalar algebra on ``lambda_n`` generators (families of
-    functions parametrized by S); the payload multiplies from the left.
+    When ``lambda_n`` is set the coefficient maps are polynomials valued in
+    component vectors of the scalar algebra on ``lambda_n`` generators
+    (families of functions parametrized by S); the payload multiplies from
+    the left.
     """
 
     __slots__ = ("p", "q", "terms", "coeff_shape", "lambda_n", "rank")
@@ -286,6 +290,8 @@ class GrassmannPoly:
                 raise DimensionError(f"bad odd multi-index {J} for q={q}")
             if f.nvars != p:
                 raise DimensionError("coefficient arity does not match p")
+            if lambda_n is not None and not isinstance(f, PolyMap):
+                raise CapabilityError("family payloads need polynomial coefficients")
             if shape is None:
                 shape = f.coeff_shape
             elif f.coeff_shape != shape:
@@ -332,25 +338,21 @@ class GrassmannPoly:
         n = dim.bit_length() - 1
         evens = coords[:self.p]
         odds = coords[self.p:]
-        for z in odds:
-            if 0 in parities_present(n, z):
-                raise ParityError("odd coordinate value must be odd")
-        shape = () if self.lambda_n is not None else self.coeff_shape
-        out = np.zeros((dim, nodes) + shape)
+        for i, x in enumerate(coords):
+            if int(i < self.p) in parities_present(n, x):
+                raise ParityError(f"coordinate {i} has a value of the wrong parity")
+        lam = self.lambda_n
+        if lam is not None and 1 << lam > dim:
+            raise DimensionError("coefficient algebra larger than coordinate algebra")
+        out = np.zeros((dim, nodes) + (() if lam is not None else self.coeff_shape))
         for J, f in self.terms.items():
-            coeff = taylor_eval_stack(f, evens)
-            if self.lambda_n is not None:
-                if 1 << self.lambda_n > dim:
-                    raise DimensionError("coefficient algebra larger than coordinate algebra")
-                contracted = np.zeros((dim, nodes))
-                for m in range(1 << self.lambda_n):
-                    col = coeff[:, :, m]
-                    if not np.any(col):
-                        continue
-                    basis = np.zeros(dim)
-                    basis[m] = 1.0
-                    contracted += mul_components(n, col, basis)
-                coeff = contracted
+            if lam is None:
+                coeff = f.eval_stack(evens)
+            else:
+                # sum_t c_t x^e_t with the payloads c_t embedded on the left
+                payload = np.zeros((dim, len(f.coeffs), nodes))
+                payload[:1 << lam] = f.coeffs.T[:, :, None]
+                coeff = mul_blocked(n, payload, monomial_table(evens, f.exponents)).sum(axis=1)
             zprod = None
             for j in J:
                 zprod = odds[j] if zprod is None else mul_components(n, zprod, odds[j])
@@ -398,7 +400,7 @@ class GrassmannPoly:
         """Parities (0/1) present in the family payload of a coefficient map."""
         if self.lambda_n is None:
             return {0}
-        return set().union(*(parities_present(self.lambda_n, c) for c in f.terms.values()))
+        return parities_present(self.lambda_n, f.coeffs.T)
 
     def _payload_terms(self, lam: int | None) -> dict[tuple[int, ...], object]:
         """The terms with payloads over Lambda_lam; a plain coefficient f
@@ -451,13 +453,6 @@ class GrassmannPoly:
         if not terms:
             terms = {(): PolyMap.zero(self.p, () if lam is None else (1 << lam,))}
         return GrassmannPoly(self.p, self.q, terms, lam)
-
-    def parity_of_terms(self) -> Parity | None:
-        """Parity contributed by the odd monomials, if homogeneous."""
-        degrees = self.term_parities()
-        if len(degrees) > 1:
-            return None
-        return Parity(degrees.pop()) if degrees else Parity.EVEN
 
     def term_parities(self) -> set[int]:
         """Parities (0/1) present among the terms, payload included."""
@@ -773,8 +768,7 @@ class DifferentialForm:
                 raise DimensionError(f"bad form index {I} for degree {degree}, p={p}")
             if f.nvars != p or f.coeff_shape != (r, r):
                 raise DimensionError("component must be a (r x r)-valued map of the even variables")
-            _check_block_parity(np.stack([np.asarray(c) for c in f.terms.values()]),
-                                rank, endo_parity)
+            _check_block_parity(f.coeffs, rank, endo_parity)
             comp[I] = f
         self.components = comp
 
@@ -843,8 +837,7 @@ class Connection:
         for i, c in enumerate(coeffs):
             want_total = Parity(0 if i < p else 1)
             for J, f in c.terms.items():
-                _check_block_parity(np.stack([np.asarray(cc) for cc in f.terms.values()]),
-                                    rank, Parity((want_total + len(J)) % 2))
+                _check_block_parity(f.coeffs, rank, Parity((want_total + len(J)) % 2))
         self.p = p
         self.q = q
         self.rank = tuple(rank)

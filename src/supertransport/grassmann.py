@@ -31,10 +31,11 @@ Conventions used everywhere downstream:
 * the parity involution fixes the even part and negates the odd part (for
   graded matrices it also flips the sign of the off-diagonal blocks, i.e. it
   uses the *total* parity of an entry);
-* smooth functions enter only through objects that can report mixed partial
-  derivatives at real points (`PolyMap`, `SmoothMap`); their evaluation at
-  even elements with nilpotent soul is the terminating Taylor series
-  implemented by :func:`taylor_eval`.
+* smooth functions of even arguments with nilpotent souls are evaluated by
+  :func:`taylor_eval_stack`, one way per kind: a `PolyMap` is computed in the
+  ring from one table of monomials (:func:`monomial_table`), which is its
+  exact Taylor extension; a `SmoothMap` reports mixed partials at real
+  points and is summed as the terminating Taylor series.
 
 Thread safety: elements, graded matrices, polynomial maps and algebra maps
 hold read-only component arrays and are never changed after construction,
@@ -279,6 +280,41 @@ def node_blocks(n: int, nodes: int, entries: int = 1) -> list[slice]:
     return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
 
 
+def mul_blocked(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Item-by-item product of two scalar arrays of one shape (2**n, ...),
+    over blocks of items (:func:`node_blocks`); from n = 9 on each ring
+    product gathers one item."""
+    out = np.empty(u.shape)
+    flat = [a.reshape(len(a), -1) for a in (u, v, out)]
+    for blk in node_blocks(n, flat[2].shape[1]):
+        flat[2][:, blk] = mul_components(n, flat[0][:, blk], flat[1][:, blk])
+    return out
+
+
+def monomial_table(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The (2**n, terms, nodes) table of the monomials prod_i x_i**e_i.
+
+    ``xs`` holds the (nvars, 2**n, nodes) component columns of even
+    arguments and ``exponents`` one (nvars,) row per term.  Factors multiply
+    on the right in coordinate order.  Coordinate i costs at most max_t e_ti
+    ring products, its powers and one product into the table, shared by all
+    terms.
+    """
+    _, dim, nodes = xs.shape
+    n = dim.bit_length() - 1
+    one = np.zeros((dim, len(exponents), nodes))
+    one[0] = 1.0
+    table = one
+    for x, e in zip(xs, exponents.T):
+        if e.max(initial=0):
+            powers = [one[:, 0], x]
+            while len(powers) <= e.max():
+                powers.append(mul_blocked(n, powers[-1], x))
+            factor = np.stack(powers, axis=1)[:, e]
+            table = factor if table is one else mul_blocked(n, table, factor)
+    return table
+
+
 def key_from_indices(indices: Sequence[int]) -> int:
     key = 0
     for i in indices:
@@ -511,15 +547,15 @@ class GrassmannElement:
 
 
 class PolyMap:
-    """A polynomial map R^nvars -> R or R^(r x c), with exact partials.
+    """A polynomial map R^nvars -> R or R^(r x c).
 
     Terms are stored as {exponent tuple: coefficient}; coefficients are
-    floats or real ndarrays sharing one shape.  This is the workhorse
-    realization of the smooth-function interface used by :func:`taylor_eval`:
-    it can report every mixed partial derivative exactly.
+    floats or real ndarrays sharing one shape.  ``exponents`` (terms, nvars)
+    and ``coeffs`` (terms,) + coeff_shape hold the same terms as arrays, in
+    one order.
     """
 
-    __slots__ = ("nvars", "terms", "coeff_shape")
+    __slots__ = ("nvars", "terms", "coeff_shape", "exponents", "coeffs")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object]):
         self.nvars = nvars
@@ -527,8 +563,8 @@ class PolyMap:
         norm_terms: dict[tuple[int, ...], np.ndarray | float] = {}
         for expo, coeff in terms.items():
             expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars:
-                raise DimensionError(f"exponent tuple {expo} does not match nvars={nvars}")
+            if len(expo) != nvars or min(expo, default=0) < 0:
+                raise DimensionError(f"exponent tuple {expo} needs {nvars} entries >= 0")
             arr = np.asarray(coeff, dtype=np.float64)
             if shape is None:
                 shape = arr.shape
@@ -542,6 +578,11 @@ class PolyMap:
                 norm_terms[expo] = arr
         self.terms = norm_terms
         self.coeff_shape = shape if shape is not None else ()
+        self.exponents = np.array(list(norm_terms), dtype=np.intp).reshape(len(norm_terms), nvars)
+        self.coeffs = np.array(list(norm_terms.values())).reshape(
+            (len(norm_terms),) + self.coeff_shape)
+        self.exponents.setflags(write=False)
+        self.coeffs.setflags(write=False)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "PolyMap":
@@ -551,48 +592,26 @@ class PolyMap:
     def zero(cls, nvars: int, shape: tuple[int, ...] = ()) -> "PolyMap":
         return cls(nvars, {(0,) * nvars: np.zeros(shape)})
 
-    @property
-    def max_order(self) -> int | None:
-        return None  # exact to all orders
-
     def is_zero(self) -> bool:
-        return all(np.all(np.asarray(c) == 0.0) for c in self.terms.values())
+        return not np.any(self.coeffs)
 
     def value(self, x: Sequence[float]):
-        return self.partial_eval((0,) * self.nvars, x)
+        """The value at one real point x of shape (nvars,)."""
+        return self.eval_stack(np.asarray(x, dtype=np.float64).reshape(self.nvars, 1, 1))[0, 0]
 
-    def partial_eval(self, alpha: Sequence[int], x):
-        """The mixed partial d^alpha f at real points.
-
-        ``x`` has shape (nvars,) + batch, one real point or a batch of them;
-        the result has shape batch + coeff_shape.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        acc = np.zeros(x.shape[1:] + self.coeff_shape)
-        for expo, coeff in self.terms.items():
-            if any(a > e for e, a in zip(expo, alpha)):
-                continue
-            factor = np.ones(x.shape[1:])
-            for e, a, xi in zip(expo, alpha, x):
-                for k in range(a):
-                    factor *= e - k
-                factor *= xi ** (e - a)
-            acc = acc + np.multiply.outer(factor, coeff)
-        return acc
+    def eval_stack(self, xs: np.ndarray) -> np.ndarray:
+        """The polynomial computed in the ring at even arguments, which is
+        its exact Taylor extension; see :func:`taylor_eval_stack`."""
+        return np.einsum("ktn,t...->kn...", monomial_table(xs, self.exponents), self.coeffs)
 
     def partial(self, i: int) -> "PolyMap":
-        terms: dict[tuple[int, ...], object] = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            key = tuple(new)
-            add = expo[i] * (coeff if isinstance(coeff, float) else np.asarray(coeff))
-            terms[key] = terms.get(key, 0.0 * add) + add
-        if not terms:
+        e = self.exponents[:, i]
+        if not e.any():
             return PolyMap.zero(self.nvars, self.coeff_shape)
-        return PolyMap(self.nvars, terms)
+        # lowering e_i is one-to-one on the terms with e_i > 0
+        lowered = self.exponents - np.eye(self.nvars, dtype=np.intp)[i]
+        return PolyMap(self.nvars, {tuple(lo): k * c
+                                    for lo, k, c in zip(lowered, e, self.coeffs) if k})
 
     def _combine(self, other: "PolyMap", op) -> "PolyMap":
         terms: dict[tuple[int, ...], object] = {}
@@ -668,58 +687,65 @@ class SmoothMap:
         return np.stack([np.asarray(self._eval(tuple(alpha), x[:, k]), dtype=np.float64)
                          for k in range(x.shape[1])])
 
+    def eval_stack(self, xs: np.ndarray) -> np.ndarray:
+        """The terminating Taylor series at even arguments, node by node; the
+        oracle must supply partials up to the total order reached (at most
+        n).  See :func:`taylor_eval_stack`."""
+        _, dim, nodes = xs.shape
+        n = dim.bit_length() - 1
+        bodies = xs[:, 0]
+        one = np.zeros((dim, nodes))
+        one[0] = 1.0
+
+        # Soul powers of each argument until they vanish at every node.
+        powers: list[list[np.ndarray]] = []
+        for x in xs:
+            soul = x.copy()
+            soul[0] = 0.0
+            pw = [one]
+            cur = soul
+            while len(pw) <= n and np.any(cur):
+                pw.append(cur)
+                cur = mul_components(n, cur, soul)
+            powers.append(pw)
+
+        # Every multi-index alpha whose soul-power product is nonzero somewhere,
+        # in lexicographic order: (alpha, prod_i soul_i**alpha_i, alpha!).
+        expansion = [((), one, 1.0)]
+        for pw in powers:
+            grown = []
+            for alpha, prod, denom in expansion:
+                for k in range(min(n - sum(alpha), len(pw) - 1) + 1):
+                    # soul powers are even, hence central; order of factors is free
+                    new = prod if k == 0 else mul_components(n, prod, pw[k])
+                    if k == 0 or np.any(new):
+                        grown.append((alpha + (k,), new, denom * math.factorial(k)))
+            expansion = grown
+
+        out = None
+        for alpha, prod, denom in expansion:
+            coeff = np.asarray(self.partial_eval(alpha, bodies), dtype=np.float64)
+            term = _keyed(prod, coeff.ndim + 1) * coeff / denom
+            out = term if out is None else out + term
+        return out
+
 
 def taylor_eval_stack(f, xs: np.ndarray) -> np.ndarray:
     """Grassmann-analytic extension of ``f`` at even arguments, node by node.
 
     ``xs`` is an (nvars, 2**n, nodes) array: the component columns of every
     argument at every node.  Returns the (2**n, nodes) + coeff_shape stack of
-    the value at each node.  The series over souls terminates by
-    nilpotency; ``f`` must supply partials up to the total order actually
-    reached (at most ``n``).
+    the value at each node, computed by ``f.eval_stack``: in the ring for a
+    `PolyMap`, by the terminating series over souls for a `SmoothMap`.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    nvars, dim, nodes = xs.shape
+    nvars, dim, _ = xs.shape
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise DimensionError(f"argument columns of length {dim} are not 2**n")
     if nvars and np.any(xs[:, _odd_keys(n)]):
         raise ParityError("taylor arguments must be even")
-    bodies = xs[:, 0]
-    one = np.zeros((dim, nodes))
-    one[0] = 1.0
-
-    # Soul powers of each argument until they vanish at every node.
-    powers: list[list[np.ndarray]] = []
-    for x in xs:
-        soul = x.copy()
-        soul[0] = 0.0
-        pw = [one]
-        cur = soul
-        while len(pw) <= n and np.any(cur):
-            pw.append(cur)
-            cur = mul_components(n, cur, soul)
-        powers.append(pw)
-
-    # Every multi-index alpha whose soul-power product is nonzero somewhere,
-    # in lexicographic order: (alpha, prod_i soul_i**alpha_i, alpha!).
-    expansion = [((), one, 1.0)]
-    for pw in powers:
-        grown = []
-        for alpha, prod, denom in expansion:
-            for k in range(min(n - sum(alpha), len(pw) - 1) + 1):
-                # soul powers are even, hence central; order of factors is free
-                new = prod if k == 0 else mul_components(n, prod, pw[k])
-                if k == 0 or np.any(new):
-                    grown.append((alpha + (k,), new, denom * math.factorial(k)))
-        expansion = grown
-
-    out = None
-    for alpha, prod, denom in expansion:
-        coeff = np.asarray(f.partial_eval(alpha, bodies), dtype=np.float64)
-        term = _keyed(prod, coeff.ndim + 1) * coeff / denom
-        out = term if out is None else out + term
-    return out
+    return f.eval_stack(xs)
 
 
 def taylor_eval(f, xs: Sequence[GrassmannElement]) -> GrassmannElement:

@@ -265,10 +265,6 @@ class SuperField:
         self.b_parity = b_parity
         self._derivatives = {"a": fd4_chain(self.a, grid.h), "b": fd4_chain(self.b, grid.h)}
 
-    @property
-    def value_parity(self) -> Parity | None:
-        return self.a_parity
-
     # -- node access and interpolation --------------------------------------
 
     def a_matrix(self, k: int) -> GradedMatrix:

@@ -322,14 +322,8 @@ def reverse_transport(path: SuperPath, sc, end: SuperPoint,
     reversal argument applies verbatim; the lifted path is reversed there.
     """
     if isinstance(sc, Superconnection):
-        lifted = odd_tangent_lift(path)
-        conn, endo = odd_tangent_data(sc)
-        data: object = TransportData(conn, endo)
-        rev = lifted.reversed_through(end)
-    else:
-        data = sc
-        rev = path.reversed_through(end)
-    return ps(rev, data, end, steps)
+        path, sc = lift_problem(path, sc)
+    return ps(path.reversed_through(end), sc, end, steps)
 
 
 # ---------------------------------------------------------------------------

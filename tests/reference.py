@@ -208,11 +208,13 @@ def flow_oracle(field, init_stack: np.ndarray, t_end: float, n: int,
 
 
 class SymbolicFieldEvaluator:
-    """Evaluates vector-field coefficients at graded points via sympy.
+    """Evaluates Grassmann polynomials at graded points via sympy.
 
-    Coefficient polynomials are rebuilt as sympy expressions; the
-    Grassmann-analytic extension is the explicit multinomial series with
-    sympy derivatives and dictionary Grassmann products.
+    Coefficient polynomials are rebuilt as sympy expressions, one per entry
+    (or family payload component); the Grassmann-analytic extension is the
+    explicit multinomial series with sympy derivatives and dictionary
+    Grassmann products.  ``field`` is a vector field, or any object with the
+    chart dimensions ``p`` and ``q`` when only :meth:`poly_value` is used.
     """
 
     def __init__(self, field, n: int):
@@ -222,18 +224,19 @@ class SymbolicFieldEvaluator:
         self.q = field.q
         self.syms = sympy.symbols(f"x0:{self.p}") if self.p else ()
         self._partial_cache: dict = {}
+        self.basis = [tuple(i + 1 for i in range(n) if k & (1 << i)) for k in range(1 << n)]
 
-    def _poly_expr(self, poly):
+    def _poly_expr(self, poly, entry=()):
         expr = sympy.Integer(0)
         for expo, coeff in poly.terms.items():
-            term = sympy.Float(float(coeff), 17)
+            term = sympy.Float(float(np.asarray(coeff)[entry]), 17)
             for s, e in zip(self.syms, expo):
                 term *= s ** e
             expr += term
         return expr
 
-    def _partial_fn(self, expr_key, expr, alpha):
-        key = (expr_key, alpha)
+    def _partial_fn(self, expr, alpha):
+        key = (expr, alpha)
         if key not in self._partial_cache:
             d_expr = expr
             for s, k in zip(self.syms, alpha):
@@ -242,7 +245,7 @@ class SymbolicFieldEvaluator:
             self._partial_cache[key] = sympy.lambdify(self.syms, d_expr, "math")
         return self._partial_cache[key]
 
-    def _taylor(self, expr_key, expr, even_dicts):
+    def _taylor(self, expr, even_dicts):
         bodies = [d.get((), 0.0) for d in even_dicts]
         souls = [{k: v for k, v in d.items() if k} for d in even_dicts]
         out: dict = {}
@@ -260,31 +263,37 @@ class SymbolicFieldEvaluator:
                     break
             if dead or not soul_pow:
                 continue
-            value = float(self._partial_fn(expr_key, expr, alpha)(*bodies))
+            value = float(self._partial_fn(expr, alpha)(*bodies))
             denom = math.prod(math.factorial(k) for k in alpha)
             if value != 0.0:
                 out = gadd(out, gscale(value / denom, soul_pow))
         return out
 
-    def values(self, coords: np.ndarray) -> np.ndarray:
-        dim = 1 << self.n
-        basis = [tuple(i + 1 for i in range(self.n) if k & (1 << i)) for k in range(dim)]
-        coord_dicts = []
-        for i in range(self.p + self.q):
-            coord_dicts.append({basis[k]: coords[i, k] for k in range(dim) if coords[i, k] != 0.0})
-        evens = coord_dicts[:self.p]
-        odds = coord_dicts[self.p:]
-        out = np.zeros((self.p + self.q, dim))
-        for i, coeff in enumerate(self.field.coeffs):
+    def poly_value(self, gp, coords: np.ndarray) -> np.ndarray:
+        """Components (2**n,) + value shape of sum_J f_J(x) z^J at (p + q, 2**n)
+        coordinate columns; payload component m of a family-valued
+        coefficient multiplies from the left as the basis monomial e_m."""
+        dicts = [{self.basis[k]: c for k, c in enumerate(col) if c != 0.0} for col in coords]
+        evens, odds = dicts[:self.p], dicts[self.p:]
+        family = gp.lambda_n is not None
+        out = np.zeros((1 << self.n,) + (() if family else gp.coeff_shape))
+        for entry in np.ndindex(gp.coeff_shape):
             total: dict = {}
-            for J, poly in coeff.terms.items():
-                expr = self._poly_expr(poly)
-                val = self._taylor((i, J), expr, evens)
+            for J, poly in gp.terms.items():
+                val = self._taylor(self._poly_expr(poly, entry), evens)
+                if family:
+                    val = gmul({self.basis[entry[0]]: 1.0}, val)
                 for j in J:
                     val = gmul(val, odds[j])
                 total = gadd(total, val)
-            out[i] = to_components(total, self.n)
+            if family:
+                out += to_components(total, self.n)
+            else:
+                out[(slice(None),) + entry] = to_components(total, self.n)
         return out
+
+    def values(self, coords: np.ndarray) -> np.ndarray:
+        return np.stack([self.poly_value(coeff, coords) for coeff in self.field.coeffs])
 
 
 def expm_oracle(n: int, comp_stack: np.ndarray, row_split, col_split) -> np.ndarray:

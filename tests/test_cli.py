@@ -123,6 +123,24 @@ class TestErrors:
         with pytest.raises(KeyError, match="inside the library"):
             run_cli(["transport", "--config", str(CONFIGS / "default.json")])
 
+    @pytest.mark.parametrize("command, config, edit", [
+        ("flow", "flow_demo.json",  # exponent vector longer than p = 1
+         lambda cfg: cfg["flow"]["coefficients"][1][0].update(exponents=[0, 0])),
+        ("flow", "flow_demo.json",  # odd index beyond q = 1
+         lambda cfg: cfg["flow"]["coefficients"][0][0].update(odd_indices=[2])),
+        ("transport", "default.json",  # odd index on an ordinary chart
+         lambda cfg: cfg["superconnection"]["connection"][0][0].update(odd_indices=[1])),
+        ("flow", "flow_demo.json",  # repeated odd index
+         lambda cfg: cfg["flow"]["coefficients"][0][0].update(odd_indices=[1, 1])),
+    ], ids=["exponent-length", "odd-index-beyond-q", "odd-index-with-q-0", "repeated-odd-index"])
+    def test_bad_polynomial_terms_exit_1(self, tmp_path, capsys, command, config, edit):
+        cfg = json.loads((CONFIGS / config).read_text())
+        edit(cfg)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
     def test_numerical_error_exit_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "default.json").read_text())
         cfg["endpoint"] = {"t": 5.0, "theta": 0.0}  # beyond the path window

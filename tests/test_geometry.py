@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from supertransport.errors import DegreeError, ParityError
+from supertransport.errors import CapabilityError, DegreeError, ParityError
 from supertransport.geometry import (
     Connection,
     Curve,
@@ -20,10 +20,10 @@ from supertransport.geometry import (
     odd_tangent_lift,
     superconnection_coefficient,
 )
-from supertransport.grassmann import AlgebraMap, GrassmannElement, Parity, PolyMap
+from supertransport.grassmann import AlgebraMap, GrassmannElement, Parity, PolyMap, SmoothMap
 from supertransport.superfield import Grid, SuperPoint
 
-from reference import from_element, gadd, gmul, to_components
+from reference import SymbolicFieldEvaluator, from_element, gadd, gmul, to_components
 
 
 G = GrassmannElement
@@ -568,3 +568,102 @@ class TestBatchedAssembly:
                             lambda pth, times: sampled.append(len(times)) or adjoined(pth, times))
         assert connection_coefficient(path, conn, grid).distance(whole) == 0.0
         assert sampled == [5, 5, 5, 5, 1]
+
+
+# -- polynomial data evaluated in the ring -----------------------------------------
+
+
+def _graded_coords(rng, n, p, q, nodes):
+    """(p + q, 2**n, nodes) columns: p even coordinates with soulful values,
+    then q odd ones."""
+    odd = np.array([bin(k).count("1") % 2 for k in range(1 << n)], dtype=bool)
+    coords = rng.uniform(-0.6, 0.6, (p + q, 1 << n, nodes))
+    coords[:p, odd] = 0.0
+    coords[p:, ~odd] = 0.0
+    return coords
+
+
+class TestRingEvaluation:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_value_stack_against_taylor_oracle(self, rng, n):
+        # scalar, matrix and family-valued polynomials on R^{2|2}, against
+        # the multinomial Taylor series with sympy partials at two nodes
+        p, q, lam = 2, 2, 2
+
+        def mat():
+            return rng.uniform(-1, 1, (2, 2))
+
+        def pay():
+            return rng.uniform(-1, 1, 1 << lam)
+
+        polys = [
+            GrassmannPoly(p, q, {(): PolyMap(p, {(0, 0): 0.5, (2, 1): -1.25, (0, 3): 0.75}),
+                                 (0,): PolyMap(p, {(1, 0): 2.0}),
+                                 (0, 1): PolyMap(p, {(1, 1): -0.5, (0, 0): 1.5})}),
+            GrassmannPoly(p, q, {(): PolyMap(p, {(1, 2): mat(), (0, 0): mat()}),
+                                 (1,): PolyMap(p, {(3, 0): mat(), (0, 1): mat()})}),
+            GrassmannPoly(p, q, {(): PolyMap(p, {(2, 0): pay(), (0, 0): pay(), (1, 1): pay()}),
+                                 (1,): PolyMap(p, {(0, 2): pay()})}, lambda_n=lam),
+        ]
+        coords = _graded_coords(rng, n, p, q, 2)
+        oracle = SymbolicFieldEvaluator(polys[0], n)
+        for gp in polys:
+            got = gp.value_stack(coords)
+            for k in range(2):
+                want = oracle.poly_value(gp, coords[:, :, k])
+                assert np.max(np.abs(got[:, k] - want)) < 1e-13
+
+    def test_smooth_coefficients_match_polynomial_twins(self, rng):
+        # an endomorphism whose coefficients are derivative oracles of its
+        # polynomial coefficients gives the same field along a lifted path
+        from supertransport.verify import random_path, random_superconnection
+        n = 3
+        path = odd_tangent_lift(random_path(rng, n, 2))
+        _, endo = odd_tangent_data(random_superconnection(rng, 2, (1, 1)))
+
+        def twin(f):
+            def partial(alpha, x):
+                g = f
+                for i, a in enumerate(alpha):
+                    for _ in range(a):
+                        g = g.partial(i)
+                return g.value(x)
+            return SmoothMap(f.nvars, partial, max_order=n + 1, coeff_shape=f.coeff_shape)
+
+        smooth = GrassmannPoly(2, 2, {J: twin(f) for J, f in endo.terms.items()}, rank=(1, 1))
+        grid = Grid(0.0, 0.1, 11)
+        want = endomorphism_term(path, endo, grid, (1, 1))
+        got = endomorphism_term(path, smooth, grid, (1, 1))
+        assert np.max(np.abs(got.a - want.a)) < 1e-13
+        assert np.max(np.abs(got.b - want.b)) < 1e-13
+        assert np.any(want.b)
+        # family payloads multiply into the monomial table, so they need one
+        with pytest.raises(CapabilityError):
+            GrassmannPoly(1, 0, {(): twin(PolyMap(1, {(1,): np.ones(4)}))}, lambda_n=2)
+
+    def test_gathers_one_term_at_one_node_from_n9(self, rng, monkeypatch):
+        # every ring product of the evaluator gathers one (term, node) item
+        # per key pair at n = 9, and the values do not depend on the blocks
+        from supertransport import grassmann
+        n, p, lam, nodes = 9, 2, 2, 3
+        coords = _graded_coords(rng, n, p, 0, nodes)
+        family = GrassmannPoly(p, 0, {(): PolyMap(p, {
+            (3, 0): rng.uniform(-1, 1, 1 << lam), (1, 2): rng.uniform(-1, 1, 1 << lam),
+            (0, 0): rng.uniform(-1, 1, 1 << lam)})}, lambda_n=lam)
+        matrix = PolyMap(p, {(2, 1): np.eye(2), (0, 3): np.ones((2, 2))})
+        ring_product = grassmann._ring_product
+        items = []
+
+        def recorded(n_, a, b, op):
+            items.append(max(a[0].size, b[0].size))
+            return ring_product(n_, a, b, op)
+
+        monkeypatch.setattr(grassmann, "_ring_product", recorded)
+        got = family.value_stack(coords), matrix.eval_stack(coords[:p])
+        assert items and max(items) == 1
+        monkeypatch.setattr(grassmann, "_GATHER_CAP", 1 << 30)
+        items.clear()
+        whole = family.value_stack(coords), matrix.eval_stack(coords[:p])
+        assert max(items) > 1
+        for g, w in zip(got, whole):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-15)

@@ -293,6 +293,11 @@ class TestTaylor:
             want[key] = want.get(key, 0.0) + val * (0.4 if key == (1, 2) else -0.6 if key == (1, 3) else 1.0)
         assert dict_distance(got, want) < 1e-12
 
+    def test_negative_exponent_rejected(self):
+        # the monomial table holds powers 0, 1, 2, ... only
+        with pytest.raises(DimensionError):
+            PolyMap(2, {(1, -1): 1.0})
+
     def test_multiplicative(self, rng):
         f = PolyMap(2, {(1, 0): 0.5, (0, 2): -1.0})
         g = PolyMap(2, {(0, 0): 1.0, (1, 1): 2.0})
