@@ -15,8 +15,10 @@ parities of graded matrices (:func:`split_parities`, :func:`total_parities`,
 is adjoined as generator n + 1 (:func:`adjoin_theta`, :func:`split_theta`).
 Every ring product -- of scalars, of matrix stacks, of a stack by a scalar --
 goes through one kernel over the 3**n pairs of disjoint keys, sorted by
-product key so that each product component is one segment sum; the soul
-series of a function at an even time is :func:`soul_series`.
+product key so that each product component is one segment sum.  A soul-free
+factor (every component but the body zero) pairs only with the unit, so the
+kernel multiplies its body into the partner and skips the pair table.  The
+soul series of a function at an even time is :func:`soul_series`.
 
 Component arrays keep the keys on the leading axis.  A batch axis of grid
 nodes may follow it: (2**n, nodes) for scalars, (2**n, nodes, r, c) for
@@ -180,6 +182,12 @@ def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     # Every ring product: gather the factor components of all key pairs,
     # combine them with ``op``, sign them and sum each product key's group.
     # No group is empty: key K always has the pairs (0, K) and (K, 0).
+    # A soul-free factor pairs only with the unit, through exactly those
+    # pairs (sign +1), so it skips the table; NaN counts as soul.
+    if not np.count_nonzero(a[1:]):
+        return op(a[:1], b)
+    if not np.count_nonzero(b[1:]):
+        return op(a, b[:1])
     I, J, S, starts, _ = _tables(n)
     prod = op(a[I], b[J])
     prod *= S.reshape((-1,) + (1,) * (prod.ndim - 1))

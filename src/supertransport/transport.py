@@ -76,6 +76,8 @@ class TransportMap:
     end: SuperPoint
 
     def __post_init__(self):
+        if not np.isfinite(self.matrix.comps).all():
+            raise DomainError("transport map is not finite")
         if not self.matrix.body_invertible():
             raise DomainError("transport map has a singular body")
 

@@ -148,6 +148,16 @@ class TestErrors:
         bad.write_text(json.dumps(cfg))
         assert run_cli(["transport", "--config", str(bad)]) == 2
 
+    def test_overflowed_map_exit_2(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "point_case.json").read_text())
+        cfg["superconnection"]["forms"][0]["components"][""][0]["matrix"] = [[0.0, 300.0], [300.0, 0.0]]
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert run_cli(["transport", "--config", str(bad), "--steps", "40"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "numerical", "message": "transport map is not finite"}
+
 
 class TestFlow:
     def test_odd_flow_value(self, tmp_path, capsys):

@@ -15,13 +15,17 @@ from supertransport.grassmann import (
     Parity,
     PolyMap,
     SmoothMap,
+    _tables,
     adjoin_theta,
     graded_expm,
+    graded_mul_stacks,
     mul_components,
     mul_stacks,
     node_blocks,
+    ring_parity_signs,
     scale_stack,
     soul_series,
+    split_parities,
     split_theta,
     taylor_eval,
     taylor_eval_stack,
@@ -187,6 +191,90 @@ def test_stack_kernels_match_reference(n, rng):
         for j in range(3):
             assert dict_distance(gmul(ref(u), ref(a[:, i, j])), ref(left[:, i, j])) < 1e-14
             assert dict_distance(gmul(ref(a[:, i, j]), ref(u)), ref(right[:, i, j])) < 1e-14
+
+
+def _table_sum(n, a, b, op):
+    """A ring product summed term by term over the pair table, in table order."""
+    I, J, S, _, _ = _tables(n)
+    terms = op(a[I], b[J]) * S.reshape((-1,) + (1,) * (max(a.ndim, b.ndim) - 1))
+    out = np.zeros((1 << n,) + terms.shape[1:])
+    np.add.at(out, I | J, terms)
+    return out
+
+
+def _factor(rng, kind, bad=None):
+    """Random factors of one kind: soulful, top-soul (body and top key only),
+    soul-free (body only) or zero; ``bad = (key, value)`` puts a non-finite
+    value at that key."""
+    def make(shape):
+        x = rng.uniform(-1, 1, shape)
+        if kind == "zero":
+            x[:] = 0.0
+        elif kind != "soulful":
+            x[1:-1 if kind == "top-soul" else None] = 0.0
+        if bad is not None:
+            x[(bad[0],) + (0,) * (x.ndim - 1)] = bad[1]
+        return x
+    return make
+
+
+def _padded(x, ndim):
+    return x.reshape(x.shape + (1,) * (ndim - x.ndim))
+
+
+def _kernel_cases(n, left, right, nodes=3):
+    """(kernel result, explicit table sum) for every kernel and operand shape,
+    with factors drawn from ``left`` and ``right``."""
+    dim = 1 << n
+    rows, mid = split_parities((1, 1)), split_parities((2, 1))
+    off = (rows[:, None] ^ mid[None, :]).astype(float)
+    for sa, sb in [((), ()), ((nodes,), (nodes,)), ((), (nodes,)), ((nodes,), ())]:
+        u, v = left((dim,) + sa), right((dim,) + sb)
+        ndim = 1 + max(len(sa), len(sb))
+        yield mul_components(n, u, v), _table_sum(n, _padded(u, ndim), _padded(v, ndim), np.multiply)
+    for batch in [(), (nodes,)]:
+        a, b = left((dim,) + batch + (2, 3)), right((dim,) + batch + (3, 2))
+        yield mul_stacks(n, a, b), _table_sum(n, a, b, np.matmul)
+        eps_b = b * _padded(ring_parity_signs(n), b.ndim)
+        want = _table_sum(n, a * (1.0 - off), b, np.matmul) + _table_sum(n, a * off, eps_b, np.matmul)
+        yield graded_mul_stacks(n, a, b, rows, mid), want
+    for su, sm in [((), (2, 3)), ((), (nodes, 2, 3)), ((nodes,), (nodes, 2, 3))]:
+        u, m = left((dim,) + su), right((dim,) + sm)
+        yield scale_stack(n, u, m, "left"), _table_sum(n, _padded(u, m.ndim), m, np.multiply)
+        m, u = left((dim,) + sm), right((dim,) + su)
+        yield scale_stack(n, u, m, "right"), _table_sum(n, m, _padded(u, m.ndim), np.multiply)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("soul-free", "soulful"), ("soulful", "soul-free"), ("soul-free", "soul-free"),
+    ("zero", "soulful"), ("soulful", "zero"), ("zero", "zero"),
+    ("top-soul", "soulful"), ("soulful", "top-soul")])
+@pytest.mark.parametrize("n", [0, 1, 4, 8])
+def test_soul_free_factors_match_the_table_sum(n, left, right, rng):
+    # a soul-free factor pairs only with the unit: bit for bit the table sum;
+    # a soul on the top key alone adds one term to one product key
+    for got, want in _kernel_cases(n, _factor(rng, left), _factor(rng, right)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 8])
+def test_soulful_factors_match_the_table_sum(n, rng):
+    # the full path sums the same terms, though not always in the same order
+    soulful = _factor(rng, "soulful")
+    for got, want in _kernel_cases(n, soulful, soulful):
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("partner", ["soulful", "soul-free", "zero"])
+@pytest.mark.parametrize("key", [0, 1], ids=["body", "soul"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_factor_gives_non_finite_product(value, key, partner, rng):
+    # a NaN or inf soul is a soul, and a non-finite body poisons the product
+    bad, other = _factor(rng, "soul-free", (key, value)), _factor(rng, partner)
+    with np.errstate(all="ignore"):
+        products = [got for left, right in [(bad, other), (other, bad)]
+                    for got, _ in _kernel_cases(4, left, right)]
+    assert not any(np.isfinite(got).all() for got in products)
 
 
 def test_soul_series_stops_at_first_vanishing_power():

@@ -22,6 +22,7 @@ from supertransport.geometry import (
     lift_pullback,
     superconnection_coefficient,
 )
+from supertransport import grassmann
 from supertransport.grassmann import (
     AlgebraMap,
     GradedMatrix,
@@ -146,6 +147,17 @@ class TestSolver:
         r2 = errors[1] / errors[2]
         assert 13.0 <= r1 <= 19.0 and 13.0 <= r2 <= 19.0
 
+    def test_overflowed_map_is_not_finite(self):
+        # an overflowed march is reported as such, not as a singular body
+        n = 2
+        path, sc = point_case(n, np.array([[0.0, 300.0], [300.0, 0.0]]))
+        end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 1))
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="^transport map is not finite$"):
+            sp(path, sc, end, steps=40)
+        singular = GradedMatrix.from_real(n, np.zeros((2, 2)), (1, 1), (1, 1), Parity.EVEN)
+        with pytest.raises(DomainError, match="singular body"):
+            TransportMap(singular, end)
+
     def test_transport_map_json_round_trip(self, rng):
         n = 2
         sc = random_superconnection(rng, 2, (1, 1))
@@ -155,6 +167,77 @@ class TestSolver:
         back = TransportMap.from_json_dict(tm.to_json_dict())
         assert np.array_equal(back.matrix.comps, tm.matrix.comps)
         assert back.end.allclose(tm.end, 0.0)
+
+
+POINT_A0 = np.array([[0.0, 0.0, 0.6, -0.3], [0.0, 0.0, 0.2, 0.5],
+                     [0.4, 0.1, 0.0, 0.0], [-0.5, 0.3, 0.0, 0.0]])
+
+
+def soulful_point_case(n):
+    """Transport over a point, rank 2|2, to t = 1 + s with s on the generator
+    pairs and theta on every generator."""
+    path, sc = point_case(n, POINT_A0, rank=(2, 2))
+    t = G.scalar(n, 1.0)
+    for k in range(1, n // 2 + 1):
+        t = t + G.monomial(n, (2 * k - 1, 2 * k), 0.3 * (-1) ** k)
+    theta = G.zero(n)
+    for k in range(1, n + 1):
+        theta = theta + G.generator(n, k) * (0.5 / k)
+    return path, sc, SuperPoint(t, theta)
+
+
+def factorised_point_map(end):
+    """exp(-tA^2 + theta A) at t = 1 + s as exp(-A^2) sum_k (-s)^k A^2k / k! (1 + theta A).
+
+    The three exponents commute and (theta A)^2 = 0, and every matrix is real,
+    so the components are sums of scalar components times real matrices.
+    """
+    n, theta = end.t.n, end.theta
+    soul = end.t - G.scalar(n, 1.0)
+    rank, A2 = (2, 2), POINT_A0 @ POINT_A0
+    E = graded_expm(GradedMatrix.from_real(0, -A2, rank, rank, Parity.EVEN)).comps[0]
+    comps = np.zeros((1 << n, 4, 4))
+    power = G.one(n)
+    for k in range(n // 2 + 1):
+        B = E @ np.linalg.matrix_power(-A2, k) / math.factorial(k)
+        comps += power.comps[:, None, None] * B + (theta * power).comps[:, None, None] * (B @ POINT_A0)
+        power = power * soul
+    return GradedMatrix(n, comps, rank, rank, Parity.EVEN)
+
+
+class TestSoulFreeFactors:
+    """Over a point the march multiplies soul-free matrices, which skip the
+    ring kernel's pair table."""
+
+    def test_table_gathered_only_for_two_soulful_factors(self, monkeypatch):
+        path, sc, end = soulful_point_case(8)  # the benchmark's point problem
+        sp(path, sc, end, steps=2)  # fills the parity caches, which read _tables too
+        tables, ring_product = grassmann._tables, grassmann._ring_product
+        gathers, soulful = [], []
+
+        def counted_tables(n):
+            gathers.append(n)
+            return tables(n)
+
+        def counted_product(n, a, b, op):
+            if np.count_nonzero(a[1:]) and np.count_nonzero(b[1:]):
+                soulful.append(n)
+            return ring_product(n, a, b, op)
+
+        monkeypatch.setattr(grassmann, "_tables", counted_tables)
+        monkeypatch.setattr(grassmann, "_ring_product", counted_product)
+        sp(path, sc, end, steps=2)
+        assert gathers == soulful and 0 < len(gathers) <= 10
+
+    def test_factorised_reference(self):
+        path, sc, end = soulful_point_case(4)
+        want = closed_form_map(4, (2, 2), POINT_A0, end)
+        assert factorised_point_map(end).distance(want) < 1e-14
+
+    def test_twelve_generators(self):
+        path, sc, end = soulful_point_case(12)
+        tm = sp(path, sc, end, steps=100)
+        assert tm.matrix.distance(factorised_point_map(end)) < 1e-5
 
 
 class TestDiagonalFlat:
