@@ -17,7 +17,10 @@ Every ring product -- of scalars, of matrix stacks, of a stack by a scalar --
 goes through one kernel over the 3**n pairs of disjoint keys, sorted by
 product key so that each product component is one segment sum.  A soul-free
 factor (every component but the body zero) pairs only with the unit, so the
-kernel multiplies its body into the partner and skips the pair table.  The
+kernel multiplies its body into the partner and skips the pair table.  A
+graded product is one plain product too: A o B = T_rows(T_rows(A) . T_mid(B))
+with T_p signing key K, row i by (-1)**(|K| p_i), as the pair sign
+(-1)**(|J| (p_i + p_j)) splits per factor by |J| = |K| - |I|.  The
 soul series of a function at an even time is :func:`soul_series`.
 
 Component arrays keep the keys on the leading axis.  A batch axis of grid
@@ -212,27 +215,35 @@ def mul_stacks(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ring_product(n, a, b, np.matmul)
 
 
+@lru_cache(maxsize=None)
+def _twist_signs(n: int, parities: tuple[int, ...], ndim: int) -> np.ndarray:
+    signs = np.where(_odd_keys(n)[:, None] & np.array(parities, dtype=bool), -1.0, 1.0)
+    signs = signs.reshape((1 << n,) + (1,) * (ndim - 3) + (len(parities), 1))
+    signs.setflags(write=False)
+    return signs
+
+
+def sign_twist(n: int, stack: np.ndarray, row_par: np.ndarray) -> np.ndarray:
+    """T_p: key K, row i of a stack times (-1)**(|K| p_i) for the 0/1 row
+    parities p; batch axes may sit between keys and rows.  An involution."""
+    return stack * _twist_signs(n, tuple(row_par.tolist()), stack.ndim)
+
+
 def graded_mul_stacks(n: int, a: np.ndarray, b: np.ndarray,
                       rows_par: np.ndarray, mid_par: np.ndarray) -> np.ndarray:
     """Operator product in the graded tensor algebra Lambda (x) End(V).
 
-    The block-off-diagonal (endomorphism-odd) part of the left factor
-    anticommutes with odd scalars on the right; concretely
-
-        A o B = A_diag . B + A_off . eps_ring(B)
-
-    with plain matrix products over the ring and eps_ring the scalar parity
-    involution.  ``rows_par``/``mid_par`` are the 0/1 parities of the left
-    factor's rows and columns.  The right factor needs no block data.
+    Endomorphism-odd blocks of A anticommute with odd scalars of B, so the
+    key pair (I, J) of A_ij e_I B_jk e_J carries (-1)**(|J| (p_i + p_j)).
+    I and J are disjoint, so |J| = |K| - |I| for K = I|J and the sign splits
+    into (-1)**(|K| p_i) (output only), (-1)**(|I| p_i) (A only) and
+    (-1)**(|J| p_j) (B only): A o B = T_rows(T_rows(A) . T_mid(B)) with T
+    the :func:`sign_twist` and ``.`` one :func:`mul_stacks` product.
+    ``rows_par``/``mid_par`` are the 0/1 parities of A's rows and columns.
+    If rows = mid, T is an algebra map: T(A o B) = T(A) . T(B).
     """
-    off = (rows_par[:, None] ^ mid_par[None, :]).astype(np.float64)
-    a_d = a * (1.0 - off)[None, :, :]
-    a_o = a * off[None, :, :]
-    out = mul_stacks(n, a_d, b)
-    if np.any(a_o):
-        b_eps = b * _keyed(ring_parity_signs(n), b.ndim)
-        out = out + mul_stacks(n, a_o, b_eps)
-    return out
+    return sign_twist(n, mul_stacks(n, sign_twist(n, a, rows_par),
+                                    sign_twist(n, b, mid_par)), rows_par)
 
 
 def scale_stack(n: int, u: np.ndarray, m: np.ndarray, side: str = "left") -> np.ndarray:

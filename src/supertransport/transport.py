@@ -13,7 +13,10 @@ fundamental matrices of a batch of such equations on one grid together
 with the classical fourth-order scheme; coefficient fields are sampled at
 half-step resolution so every stage value is exact.  Endpoints whose time
 coordinate carries a soul are reached by the terminating Taylor series
-with derivatives generated from the right-hand side.
+with derivatives generated from the right-hand side.  The march stops at its
+first non-finite state and runs in the sign twist T of graded_mul_stacks, where
+the sign (-1)**(|J| (p_i + p_j)) of a key pair splits per factor: a' = M a has
+M, a on one block split, so T(M o a) = T(M) . T(a) is one plain ring product.
 
 On top of the solver live the transport-map constructors and the path
 operations: gluing, reversal, reparametrization, adiabatic sweeps, and the
@@ -54,8 +57,10 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     graded_mul_stacks,
+    mul_stacks,
     node_blocks,
     scale_stack,
+    sign_twist,
     soul_series,
     split_parities,
     split_theta,
@@ -162,8 +167,7 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
         grid = field.grid
         if not (grid.contains(0.0) and grid.contains(body)):
             raise DomainError(f"endpoint time {body} outside the coefficient grid")
-        i0 = grid.index_of(0.0)
-        i1 = grid.index_of(body)
+        i0, i1 = grid.index_of(0.0), grid.index_of(body)
         if (i1 - i0) % 2:
             raise DomainError("endpoint does not sit on a full solver step")
     first = fields[0]
@@ -182,20 +186,20 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
         a = np.stack([f.a for f in fields[blk]], axis=2)
         b = np.stack([f.b for f in fields[blk]], axis=2)
         M = _reduced_matrix_stacks(n, a, b, first.row_split, variant)
+        M = sign_twist(n, M.swapaxes(0, 1), rows).swapaxes(0, 1)
         X = np.zeros((1 << n,) + M.shape[2:])
         X[0] = np.eye(r)
-        for idx in range(i0, i1, direction):
-            M0 = M[idx]
-            Mh = M[idx + direction // 2]
-            M1 = M[idx + direction]
-            k1 = graded_mul_stacks(n, M0, X, rows, rows)
-            k2 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k1, rows, rows)
-            k3 = graded_mul_stacks(n, Mh, X + (h / 2.0) * k2, rows, rows)
-            k4 = graded_mul_stacks(n, M1, X + h * k3, rows, rows)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        X = X + _taylor_endpoint(n, grid, M, X, body, soul, rows)
-
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(i0, i1, direction):
+                M0, Mh, M1 = M[idx], M[idx + direction // 2], M[idx + direction]
+                k1 = mul_stacks(n, M0, X)
+                k2 = mul_stacks(n, Mh, X + (h / 2.0) * k1)
+                k3 = mul_stacks(n, Mh, X + (h / 2.0) * k2)
+                k4 = mul_stacks(n, M1, X + h * k3)
+                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.isfinite(X).all():
+                    raise DomainError("transport map is not finite")
+        X = sign_twist(n, X + _taylor_endpoint(n, grid, M, X, body, soul), rows)
         C_end = taylor_stack_at(grid, fd4_chain(a, grid.h), end.t)
         B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
         maps[:, blk] = X + scale_stack(n, end.theta.comps, B_stack, side="left")
@@ -206,12 +210,12 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
 
 
 def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: float,
-                     soul: np.ndarray, rows: np.ndarray):
+                     soul: np.ndarray):
     """Soul tail of the fundamental solution's terminating Taylor series.
 
-    Derivatives of the solution are generated from the equation
-    X' = M X by the Leibniz recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j);
-    derivatives of M come from grid stencils.
+    Derivatives of the twisted solution come from X' = M X by the Leibniz
+    recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j) of plain products; those
+    of M from grid stencils.  The soul is even, so it commutes with the twist.
     """
     m_derivative = fd4_chain(M, grid.h)
     x_derivs = [X]
@@ -221,7 +225,7 @@ def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: flo
         acc = np.zeros_like(X)
         for j in range(k):
             Mj = interpolate_stack(grid, m_derivative(j), body)
-            acc = acc + math.comb(k - 1, j) * graded_mul_stacks(n, Mj, x_derivs[k - 1 - j], rows, rows)
+            acc = acc + math.comb(k - 1, j) * mul_stacks(n, Mj, x_derivs[k - 1 - j])
         x_derivs.append(acc)
         return acc
 

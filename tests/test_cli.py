@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,10 +154,13 @@ class TestErrors:
         cfg["superconnection"]["forms"][0]["components"][""][0]["matrix"] = [[0.0, 300.0], [300.0, 0.0]]
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(cfg))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run_cli(["transport", "--config", str(bad), "--steps", "40"]) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "numerical", "message": "transport map is not finite"}
+        assert caught == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "numerical", "message": "transport map is not finite"}]
 
 
 class TestFlow:

@@ -24,11 +24,14 @@ from supertransport.grassmann import (
     node_blocks,
     ring_parity_signs,
     scale_stack,
+    sign_twist,
     soul_series,
     split_parities,
     split_theta,
+    stack_parity,
     taylor_eval,
     taylor_eval_stack,
+    total_parities,
 )
 
 from reference import (
@@ -222,9 +225,18 @@ def _padded(x, ndim):
     return x.reshape(x.shape + (1,) * (ndim - x.ndim))
 
 
-def _kernel_cases(n, left, right, nodes=3):
+def _twisted(n, x, par):
+    """The sign twist by hand: key K, row i times (-1)**(|K| p_i)."""
+    odd = np.array([bin(k).count("1") % 2 for k in range(1 << n)], dtype=bool)
+    signs = np.where(odd[:, None] & par.astype(bool)[None, :], -1.0, 1.0)
+    return x * signs.reshape((1 << n,) + (1,) * (x.ndim - 3) + (len(par), 1))
+
+
+def _kernel_cases(n, left, right, nodes=3, twisted=False):
     """(kernel result, explicit table sum) for every kernel and operand shape,
-    with factors drawn from ``left`` and ``right``."""
+    with factors drawn from ``left`` and ``right``.  The graded product's
+    reference is the twisted table sum T_r(sum(T_r a, T_m b)) with
+    ``twisted``, else the two-product sum a_diag . b + a_off . eps(b)."""
     dim = 1 << n
     rows, mid = split_parities((1, 1)), split_parities((2, 1))
     off = (rows[:, None] ^ mid[None, :]).astype(float)
@@ -235,8 +247,11 @@ def _kernel_cases(n, left, right, nodes=3):
     for batch in [(), (nodes,)]:
         a, b = left((dim,) + batch + (2, 3)), right((dim,) + batch + (3, 2))
         yield mul_stacks(n, a, b), _table_sum(n, a, b, np.matmul)
-        eps_b = b * _padded(ring_parity_signs(n), b.ndim)
-        want = _table_sum(n, a * (1.0 - off), b, np.matmul) + _table_sum(n, a * off, eps_b, np.matmul)
+        if twisted:
+            want = _twisted(n, _table_sum(n, _twisted(n, a, rows), _twisted(n, b, mid), np.matmul), rows)
+        else:
+            eps_b = b * _padded(ring_parity_signs(n), b.ndim)
+            want = _table_sum(n, a * (1.0 - off), b, np.matmul) + _table_sum(n, a * off, eps_b, np.matmul)
         yield graded_mul_stacks(n, a, b, rows, mid), want
     for su, sm in [((), (2, 3)), ((), (nodes, 2, 3)), ((nodes,), (nodes, 2, 3))]:
         u, m = left((dim,) + su), right((dim,) + sm)
@@ -253,7 +268,7 @@ def _kernel_cases(n, left, right, nodes=3):
 def test_soul_free_factors_match_the_table_sum(n, left, right, rng):
     # a soul-free factor pairs only with the unit: bit for bit the table sum;
     # a soul on the top key alone adds one term to one product key
-    for got, want in _kernel_cases(n, _factor(rng, left), _factor(rng, right)):
+    for got, want in _kernel_cases(n, _factor(rng, left), _factor(rng, right), twisted=True):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -263,6 +278,43 @@ def test_soulful_factors_match_the_table_sum(n, rng):
     soulful = _factor(rng, "soulful")
     for got, want in _kernel_cases(n, soulful, soulful):
         assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+SPLITS = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+def _inhomogeneous(rng, n, batch, row_split, col_split, even=False):
+    x = rng.uniform(-0.5, 0.5, (1 << n,) + batch + (sum(row_split), sum(col_split)))
+    if even:
+        mask = total_parities(n, row_split, col_split) == 0
+        x *= mask.reshape(mask.shape[:1] + (1,) * len(batch) + mask.shape[1:])
+    return x
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "nodes"])
+@pytest.mark.parametrize("n", [0, 1, 4, 8])
+class TestSignTwist:
+    def test_involution(self, n, batch, rng):
+        for split in SPLITS:
+            x = _inhomogeneous(rng, n, batch, split, (2, 1))
+            par = split_parities(split)
+            assert np.array_equal(sign_twist(n, sign_twist(n, x, par), par), x)
+            assert np.array_equal(sign_twist(n, x, par), _twisted(n, x, par))
+
+    def test_graded_product_is_associative(self, n, batch, rng):
+        ra, ma, mb = (split_parities(s) for s in SPLITS[:3])
+        a, b, c = (_inhomogeneous(rng, n, batch, SPLITS[i], SPLITS[i + 1]) for i in range(3))
+        left = graded_mul_stacks(n, graded_mul_stacks(n, a, b, ra, ma), c, ra, mb)
+        right = graded_mul_stacks(n, a, graded_mul_stacks(n, b, c, ma, mb), ra, ma)
+        assert np.allclose(left, right, rtol=0.0, atol=1e-13)
+
+    def test_even_times_even_is_even(self, n, batch, rng):
+        a = _inhomogeneous(rng, n, batch, SPLITS[0], SPLITS[1], even=True)
+        b = _inhomogeneous(rng, n, batch, SPLITS[1], SPLITS[2], even=True)
+        prod = graded_mul_stacks(n, a, b, split_parities(SPLITS[0]), split_parities(SPLITS[1]))
+        nodes = [prod] if not batch else [prod[:, k] for k in range(batch[0])]
+        assert np.any(prod)
+        assert all(stack_parity(n, p, SPLITS[0], SPLITS[2]) == Parity.EVEN for p in nodes)
 
 
 @pytest.mark.parametrize("partner", ["soulful", "soul-free", "zero"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from supertransport.geometry import (
     lift_pullback,
     superconnection_coefficient,
 )
-from supertransport import grassmann
+from supertransport import grassmann, transport
 from supertransport.grassmann import (
     AlgebraMap,
     GradedMatrix,
@@ -147,13 +148,25 @@ class TestSolver:
         r2 = errors[1] / errors[2]
         assert 13.0 <= r1 <= 19.0 and 13.0 <= r2 <= 19.0
 
-    def test_overflowed_map_is_not_finite(self):
-        # an overflowed march is reported as such, not as a singular body
+    def test_overflowed_map_is_not_finite(self, monkeypatch):
+        # an overflowed march is reported as such, not as a singular body; it
+        # stops at the first non-finite step, before NumPy warns
         n = 2
         path, sc = point_case(n, np.array([[0.0, 300.0], [300.0, 0.0]]))
         end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 1))
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="^transport map is not finite$"):
-            sp(path, sc, end, steps=40)
+        stages = []
+        mul_stacks = transport.mul_stacks
+
+        def counted(*args):
+            stages.append(1)
+            return mul_stacks(*args)
+
+        monkeypatch.setattr(transport, "mul_stacks", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="^transport map is not finite$"):
+                sp(path, sc, end, steps=40)
+        assert caught == [] and 0 < len(stages) < 4 * 40
         singular = GradedMatrix.from_real(n, np.zeros((2, 2)), (1, 1), (1, 1), Parity.EVEN)
         with pytest.raises(DomainError, match="singular body"):
             TransportMap(singular, end)
@@ -553,6 +566,43 @@ class TestBatchedMarch:
         assert max(gathers) == 3 ** n * r * r
         for got, want in zip(batched, single):
             assert same_map(got, want)
+
+
+class TestOneRingProductPerGradedProduct:
+    """A graded product is one ring product, and the march one per stage."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        ring_product = grassmann._ring_product
+
+        def spy(n, a, b, op):
+            calls.append(n)
+            return ring_product(n, a, b, op)
+
+        monkeypatch.setattr(grassmann, "_ring_product", spy)
+        return calls
+
+    def test_graded_product_with_odd_blocks(self, rng, kernel_calls):
+        n, rows = 4, grassmann.split_parities((1, 1))
+        a, b = rng.uniform(-1, 1, (2, 1 << n, 2, 2))
+        assert np.count_nonzero(a[1:, 0, 1]) and np.count_nonzero(b[1:])
+        grassmann.graded_mul_stacks(n, a, b, rows, rows)
+        assert kernel_calls == [n]
+
+    def test_march_makes_four_products_per_step(self, rng, kernel_calls):
+        from supertransport.transport import _march
+        n = 2
+        sc = random_superconnection(rng, 2, (1, 1))
+        path = random_path(rng, n, 2)
+        end = SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3), G.generator(n, 1) * 0.5)
+        counts = []
+        for steps in (20, 40):
+            field = superconnection_coefficient(path, sc, Grid.over(0.0, 1.0, 2 * steps + 1))
+            kernel_calls.clear()
+            _march([field], end, "D")
+            counts.append(len(kernel_calls))
+        assert counts[1] - counts[0] == 4 * 20
 
 
 class TestRecover:
