@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
 
 from . import __version__
@@ -34,11 +36,6 @@ from .grassmann import GrassmannElement, Parity, PolyMap
 from .superfield import Grid, SuperPoint
 from .transport import DEFAULT_STEPS, adiabatic_sweep, sp
 from .verify import run_suite
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - mirror always provides it
-    jsonschema = None
 
 
 _GRASSMANN_VALUE = {
@@ -135,10 +132,6 @@ def _config_validator():
 
 
 def _validate(config: dict):
-    if jsonschema is None:
-        if config.get("schema") != 1:
-            raise ConfigError("config must declare schema version 1")
-        return
     # the error jsonschema.validate would raise, from the prebuilt validator
     exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
     if exc is not None:
@@ -151,10 +144,20 @@ def _dims(config: dict) -> Dims:
                 (int(d["rank_even"]), int(d["rank_odd"])))
 
 
+def _key_indices(key: str, top: int) -> tuple[int, ...]:
+    """The indices of a Grassmann-monomial or form-component key "i|j|...",
+    "" for none; the key must list them canonically, increasing strictly
+    within 1..top."""
+    idx = tuple(int(s) for s in key.split("|") if s.isdecimal())
+    if "|".join(map(str, idx)) != key or list(idx) != sorted(set(idx) & set(range(1, top + 1))):
+        raise ConfigError(f"key {key!r} must list strictly increasing indices in 1..{top}")
+    return idx
+
+
 def _grassmann(value, n: int) -> GrassmannElement:
     if isinstance(value, (int, float)):
         return GrassmannElement.scalar(n, float(value))
-    return GrassmannElement.from_json_dict(n, value)
+    return GrassmannElement.from_terms(n, {_key_indices(k, n): float(c) for k, c in value.items()})
 
 
 def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
@@ -198,7 +201,7 @@ def _superconnection(config: dict, dims: Dims) -> Superconnection:
         degree = int(form_cfg["degree"])
         comps = {}
         for key, terms in form_cfg["components"].items():
-            idx = tuple(int(s) for s in key.split("|")) if key else ()
+            idx = _key_indices(key, dims.p)
             poly = _poly_terms(terms, dims.p, 0, dims.rank)
             comps[idx] = poly.terms.get((), PolyMap.zero(dims.p, (sum(dims.rank),) * 2))
         endo_parity = Parity((1 + degree) % 2)
@@ -235,10 +238,12 @@ def _path(config: dict, dims: Dims) -> SuperPath:
     if kind == "circle":
         if dims.q:
             raise ConfigError("circle paths target ordinary charts")
+        plane = tuple(cfg.get("plane", (0, 1)))
+        if len(plane) != 2 or plane[0] == plane[1] or not set(plane) <= set(range(dims.p)):
+            raise ConfigError(f"circle plane {plane} is not 2 distinct axes in 0..{dims.p - 1}")
         return SuperPath.circle(n, [float(c) for c in cfg["center"]],
                                 float(cfg["radius"]), float(cfg["omega"]),
-                                gvals("eta"), t_end,
-                                plane=tuple(cfg.get("plane", (0, 1))),
+                                gvals("eta"), t_end, plane=plane,
                                 phase=float(cfg.get("phase", 0.0)))
     if kind == "sampled":
         grid = Grid(float(cfg["t0"]), float(cfg["h"]), int(cfg["nodes"]))
@@ -278,13 +283,9 @@ def _cmd_transport(config: dict, args) -> dict:
     path = _path(config, dims)
     end = _endpoint(config, dims)
     steps = args.steps or int(config.get("solver", {}).get("steps", DEFAULT_STEPS))
-    if dims.q:
-        data = sc.connection if not sc.forms else None
-        if data is None:
-            raise ConfigError("form parts require an ordinary chart (q = 0)")
-        tm = sp(path, data, end, steps=steps)
-    else:
-        tm = sp(path, sc, end, steps=steps)
+    if dims.q and sc.forms:
+        raise ConfigError("form parts require an ordinary chart (q = 0)")
+    tm = sp(path, sc.connection if dims.q else sc, end, steps=steps)
     return {"result": "transport", "map": tm.to_json_dict()}
 
 
@@ -328,6 +329,13 @@ def _cmd_flow(config: dict, args) -> dict:
     return {"result": "flow_even", "csv": out, "nodes": len(traj.times)}
 
 
+def _margin(r) -> float:
+    """Residual over tolerance; inf for a failure at tolerance 0 or a NaN residual."""
+    if r.tolerance and not math.isnan(r.residual):
+        return r.residual / r.tolerance
+    return 0.0 if r.passed else math.inf
+
+
 def _cmd_verify(config: dict, args) -> dict:
     cfg = config.get("verify", {})
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -340,11 +348,8 @@ def _cmd_verify(config: dict, args) -> dict:
     report = {"result": "verify", "seed": seed, "passed": passed,
               "total": len(results), "checks": [r.as_dict() for r in results]}
     if args.tolerance_report:
-        worst = sorted(results, key=lambda r: r.tolerance and r.residual / r.tolerance,
-                       reverse=True)
-        for r in worst[:5]:
-            margin = r.residual / r.tolerance if r.tolerance else float("inf")
-            print(f"  margin {margin:9.2e} of tolerance: {r.name}")
+        for r in sorted(results, key=_margin, reverse=True)[:5]:
+            print(f"  margin {_margin(r):9.2e} of tolerance: {r.name}")
     return report
 
 

@@ -192,8 +192,8 @@ class Curve:
         """sum_k coeffs[k] * t^k with Grassmann (or float) coefficients."""
         gcoeffs = [c if isinstance(c, GrassmannElement) else GrassmannElement.scalar(n, float(c))
                    for c in coeffs]
-        if not gcoeffs:
-            gcoeffs = [GrassmannElement.zero(n)]
+        if len(gcoeffs) < 2:  # a constant samples without the power loop
+            return cls.constant(n, gcoeffs[0] if gcoeffs else 0.0)
 
         def sample(ts: np.ndarray) -> np.ndarray:
             acc = np.zeros((1 << n, len(ts)))
@@ -204,8 +204,7 @@ class Curve:
             return acc
 
         def dfactory() -> Curve:
-            dcoeffs = [c * float(k) for k, c in enumerate(gcoeffs)][1:]
-            return Curve.polynomial(n, dcoeffs or [GrassmannElement.zero(n)])
+            return Curve.polynomial(n, [c * float(k) for k, c in enumerate(gcoeffs)][1:])
 
         return cls(n, sample, dfactory)
 
@@ -632,24 +631,20 @@ class SuperPath:
             new_b.append(B)
         return SuperPath(self.p, self.q, self.n, new_a, new_b, t_end, self.margin)
 
-    def _affine(self, sign: float, shift: GrassmannElement) -> Curve:
-        base = Curve.polynomial(self.n, [shift, GrassmannElement.scalar(self.n, sign)])
-        return base
-
     def translated(self, point: SuperPoint, t_end: float | None = None) -> "SuperPath":
         """Precompose with the right translation (u, eta) -> (u, eta)(t0, th0)."""
-        g = self._affine(1.0, point.t)
+        g = Curve.polynomial(self.n, [point.t, 1.0])
         end = self.t_end - point.t.body if t_end is None else t_end
         return self.substituted(g, point.theta, point.theta, 1.0, end)
 
     def reversed_through(self, end: SuperPoint) -> "SuperPath":
         """The reversal u -> c((u, eta)^{-1}(t0, th0)) on [0, body(t0)]."""
-        g = self._affine(-1.0, end.t)
+        g = Curve.polynomial(self.n, [end.t, -1.0])
         return self.substituted(g, -end.theta, end.theta, -1.0, end.t.body)
 
     def shifted_by_inverse(self, point: SuperPoint, t_end: float) -> "SuperPath":
         """Precompose with (u, eta) -> (u, eta)(t0, th0)^{-1} (gluing branch)."""
-        g = self._affine(1.0, -point.t)
+        g = Curve.polynomial(self.n, [-point.t, 1.0])
         return self.substituted(g, -point.theta, -point.theta, 1.0, t_end)
 
     def reparametrized(self, r: Curve, new_t_end: float) -> "SuperPath":
@@ -697,15 +692,8 @@ class SuperPath:
     def line(cls, n: int, start: Sequence, velocity: Sequence, theta_parts: Sequence,
              t_end: float, p: int | None = None, q: int = 0) -> "SuperPath":
         """Straight path start + t*velocity with constant theta-components."""
-        ncoords = len(start)
-        p = ncoords - q if p is None else p
-
-        def lift(v):
-            return v if isinstance(v, GrassmannElement) else GrassmannElement.scalar(n, float(v))
-
-        a = [Curve.polynomial(n, [lift(s), lift(v)]) for s, v in zip(start, velocity)]
-        b = [Curve.constant(n, lift(h)) for h in theta_parts]
-        return cls(p, q, n, a, b, t_end)
+        return cls.from_polynomials(n, [[s, v] for s, v in zip(start, velocity)],
+                                    [[h] for h in theta_parts], t_end, p, q)
 
     @classmethod
     def from_polynomials(cls, n: int, even_coeffs: Sequence[Sequence],
@@ -722,6 +710,8 @@ class SuperPath:
                theta_parts: Sequence, t_end: float, plane: tuple[int, int] = (0, 1),
                phase: float = 0.0) -> "SuperPath":
         p = len(center)
+        if len(plane) != 2 or plane[0] == plane[1] or not set(plane) <= set(range(p)):
+            raise DimensionError(f"circle plane {plane} is not 2 distinct axes in 0..{p - 1}")
         a = []
         for i, c in enumerate(center):
             if i == plane[0]:
@@ -730,9 +720,7 @@ class SuperPath:
                 a.append(Curve.harmonic(n, radius, omega, phase, c, "sin"))
             else:
                 a.append(Curve.constant(n, c))
-        def lift(v):
-            return v if isinstance(v, GrassmannElement) else GrassmannElement.scalar(n, float(v))
-        b = [Curve.constant(n, lift(h)) for h in theta_parts]
+        b = [Curve.constant(n, h) for h in theta_parts]
         return cls(p, 0, n, a, b, t_end)
 
 

@@ -37,10 +37,10 @@ Conventions used everywhere downstream:
   graded matrices it also flips the sign of the off-diagonal blocks, i.e. it
   uses the *total* parity of an entry);
 * smooth functions of even arguments with nilpotent souls are evaluated by
-  :func:`taylor_eval_stack`, one way per kind: a `PolyMap` is computed in the
-  ring from one table of monomials (:func:`monomial_table`), which is its
-  exact Taylor extension; a `SmoothMap` reports mixed partials at real
-  points and is summed as the terminating Taylor series.
+  :func:`taylor_eval_stack` through one :func:`monomial_table`: a `PolyMap`
+  contracts its monomials in the arguments, its exact Taylor extension; a
+  `SmoothMap` reports mixed partials at real points, contracted with the
+  soul monomials as the terminating Taylor series.
 
 Thread safety: elements, graded matrices, polynomial maps and algebra maps
 hold read-only component arrays and are never changed after construction,
@@ -51,6 +51,7 @@ if two threads race.  A ``SmoothMap`` is as safe as the oracle it wraps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import IntEnum
 from functools import lru_cache
@@ -707,45 +708,21 @@ class SmoothMap:
                          for k in range(x.shape[1])])
 
     def eval_stack(self, xs: np.ndarray) -> np.ndarray:
-        """The terminating Taylor series at even arguments, node by node; the
-        oracle must supply partials up to the total order reached (at most
-        n).  See :func:`taylor_eval_stack`."""
-        _, dim, nodes = xs.shape
-        n = dim.bit_length() - 1
-        bodies = xs[:, 0]
-        one = np.zeros((dim, nodes))
-        one[0] = 1.0
-
-        # Soul powers of each argument until they vanish at every node.
-        powers: list[list[np.ndarray]] = []
-        for x in xs:
-            soul = x.copy()
-            soul[0] = 0.0
-            pw = [one]
-            cur = soul
-            while len(pw) <= n and np.any(cur):
-                pw.append(cur)
-                cur = mul_components(n, cur, soul)
-            powers.append(pw)
-
-        # Every multi-index alpha whose soul-power product is nonzero somewhere,
-        # in lexicographic order: (alpha, prod_i soul_i**alpha_i, alpha!).
-        expansion = [((), one, 1.0)]
-        for pw in powers:
-            grown = []
-            for alpha, prod, denom in expansion:
-                for k in range(min(n - sum(alpha), len(pw) - 1) + 1):
-                    # soul powers are even, hence central; order of factors is free
-                    new = prod if k == 0 else mul_components(n, prod, pw[k])
-                    if k == 0 or np.any(new):
-                        grown.append((alpha + (k,), new, denom * math.factorial(k)))
-            expansion = grown
-
+        """The terminating Taylor series sum_alpha s**alpha / alpha! * d^alpha f
+        at the bodies, s the souls, from one :func:`monomial_table`; the oracle
+        is asked only for the alpha whose s**alpha is nonzero at some node (at
+        most n/2 in total order).  See :func:`taylor_eval_stack`."""
+        nvars, dim, _ = xs.shape
+        half = (dim.bit_length() - 1) // 2
+        souls = np.where(np.arange(dim)[:, None] > 0, xs, 0.0)
+        alphas = [a for a in itertools.product(range(half + 1), repeat=nvars) if sum(a) <= half]
+        table = monomial_table(souls, np.array(alphas, dtype=np.intp).reshape(-1, nvars))
         out = None
-        for alpha, prod, denom in expansion:
-            coeff = np.asarray(self.partial_eval(alpha, bodies), dtype=np.float64)
-            term = _keyed(prod, coeff.ndim + 1) * coeff / denom
-            out = term if out is None else out + term
+        for alpha, prod in zip(alphas, table.swapaxes(0, 1)):
+            if np.any(prod):
+                coeff = np.asarray(self.partial_eval(alpha, xs[:, 0]), dtype=np.float64)
+                term = _keyed(prod, coeff.ndim + 1) * coeff / math.prod(map(math.factorial, alpha))
+                out = term if out is None else out + term
         return out
 
 
@@ -919,9 +896,6 @@ class GradedMatrix:
 
     def entry(self, i: int, j: int) -> GrassmannElement:
         return GrassmannElement(self.n, self.comps[:, i, j].copy())
-
-    def column(self, j: int) -> list[GrassmannElement]:
-        return [self.entry(i, j) for i in range(self.shape[0])]
 
     def apply(self, psi: Sequence[GrassmannElement]) -> list[GrassmannElement]:
         """Graded action on a column of scalars."""

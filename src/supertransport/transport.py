@@ -86,9 +86,6 @@ class TransportMap:
         if not self.matrix.body_invertible():
             raise DomainError("transport map has a singular body")
 
-    def apply(self, psi: Sequence[GrassmannElement]) -> list[GrassmannElement]:
-        return self.matrix.apply(psi)
-
     def compose(self, earlier: "TransportMap") -> "TransportMap":
         """self after earlier (matrix product self @ earlier)."""
         return TransportMap(self.matrix @ earlier.matrix, self.end)
@@ -113,19 +110,21 @@ class TransportMap:
 
 def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
                            row_split: tuple[int, int], variant: str) -> np.ndarray:
-    """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant).
+    """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant)
+    in the sign twist T of the rows.
 
     ``a`` and ``b`` hold C and Dm of a batch of problems as
-    (nodes, 2**n, problems, r, r) stacks.  All products are graded operator
-    products; eps is the total-parity involution.  One batched product per
-    block of nodes.
+    (nodes, 2**n, problems, r, r) stacks.  eps(C) C is a graded operator
+    product and eps the total-parity involution; rows and columns share one
+    split, so T(eps(C) C) = eps(T(C)) . T(C) is one plain product per block
+    of nodes.
     """
     rows = split_parities(row_split)
     eps_sign = (1.0 - 2.0 * total_parities(n, row_split, row_split))[:, None, None]
-    C, Dm = a.swapaxes(0, 1), b.swapaxes(0, 1)
+    C, Dm = (sign_twist(n, s.swapaxes(0, 1), rows) for s in (a, b))
     out = np.empty_like(C)
     for blk in node_blocks(n, a.shape[0], a[0, 0].size):
-        epsC_C = graded_mul_stacks(n, C[:, blk] * eps_sign, C[:, blk], rows, rows)
+        epsC_C = mul_stacks(n, C[:, blk] * eps_sign, C[:, blk])
         out[:, blk] = epsC_C - Dm[:, blk] if variant == "D" else Dm[:, blk] - epsC_C
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
@@ -186,7 +185,6 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
         a = np.stack([f.a for f in fields[blk]], axis=2)
         b = np.stack([f.b for f in fields[blk]], axis=2)
         M = _reduced_matrix_stacks(n, a, b, first.row_split, variant)
-        M = sign_twist(n, M.swapaxes(0, 1), rows).swapaxes(0, 1)
         X = np.zeros((1 << n,) + M.shape[2:])
         X[0] = np.eye(r)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -466,8 +464,7 @@ def _coefficient_at_zero(oracle: Callable[[SuperPath, SuperPoint], TransportMap]
 
 def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
             x0: Sequence[float], p: int, rank: tuple[int, int], n: int,
-            degrees: Sequence[int] = (1, 0, 2), fd_step: float = 1e-4,
-            margin_steps: int = 4) -> RecoveredSuperconnection:
+            degrees: Sequence[int] = (1, 0, 2), fd_step: float = 1e-4) -> RecoveredSuperconnection:
     """Recover (connection, 0-form, 2-form) point values from transport.
 
     Probes are short straight paths through x0.  Connection coefficients are

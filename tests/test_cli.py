@@ -14,6 +14,7 @@ import supertransport.cli as cli
 from supertransport.cli import main
 from supertransport.grassmann import GradedMatrix, GrassmannElement, Parity, graded_expm
 from supertransport.transport import TransportMap
+from supertransport.verify import CheckResult
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -21,6 +22,20 @@ CONFIGS = REPO / "configs"
 
 def run_cli(args):
     return main(list(args))
+
+
+def _form2_key(key):
+    """A default.json edit that renames the 2-form component "1|2"."""
+    def edit(cfg):
+        comps = cfg["superconnection"]["forms"][1]["components"]
+        comps[key] = comps.pop("1|2")
+    return edit
+
+
+def _circle(plane):
+    """A default.json edit that sets a circle path in the given plane."""
+    return lambda cfg: cfg.update(path={"kind": "circle", "center": [0.0, 0.0], "radius": 0.5,
+                                        "omega": 1.0, "eta": [0.0, 0.0], "plane": plane})
 
 
 class TestTransport:
@@ -142,6 +157,29 @@ class TestErrors:
         assert run_cli([command, "--config", str(bad)]) == 1
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["path"].update(eta=[{"7": 0.5}, {"2": 0.4}]), "increasing indices"),
+        (lambda cfg: cfg["endpoint"].update(theta={"1|1": 0.7}), "increasing indices"),
+        (_form2_key("1|x"), "increasing indices"),
+        (_form2_key("1|3"), "increasing indices"),
+        # e2 e1 = -e1 e2: read as +0.3 e1 e2 before keys were checked
+        (lambda cfg: cfg["endpoint"].update(t={"": 1.0, "2|1": 0.3}), "increasing indices"),
+        (lambda cfg: cfg["endpoint"].update(t={"": 1.0, "1|2": 0.3, "2|1": 0.5}),
+         "increasing indices"),
+        (_circle([0, 5]), "circle plane"),
+        (_circle([0, 0]), "circle plane"),
+    ], ids=["generator-beyond-N", "repeated-generator", "form-key-not-an-index",
+            "form-key-beyond-p", "decreasing-generators", "monomial-twice",
+            "circle-plane-beyond-p", "circle-plane-repeated"])
+    def test_malformed_keys_and_plane_exit_1(self, tmp_path, capsys, edit, message):
+        cfg = json.loads((CONFIGS / "default.json").read_text())
+        edit(cfg)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["transport", "--config", str(bad), "--steps", "8"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and message in err["message"]
+
     def test_numerical_error_exit_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "default.json").read_text())
         cfg["endpoint"] = {"t": 5.0, "theta": 0.0}  # beyond the path window
@@ -214,6 +252,17 @@ class TestVerify:
                      "--steps", "60", "--out", str(out)])
             outs.append(json.loads(out.read_text()))
         assert outs[0] == outs[1]
+
+    def test_tolerance_report_ranks_exact_failures_first(self, monkeypatch, capsys):
+        results = [CheckResult("loose", 1e-13, 1e-12, 0), CheckResult("exact_pass", 0.0, 0.0, 0),
+                   CheckResult("group_associativity", 2e-17, 0.0, 0),
+                   CheckResult("tight", 9e-13, 1e-12, 0), CheckResult("nan", math.nan, 1e-12, 0)]
+        monkeypatch.setattr(cli, "run_suite", lambda **kwargs: results)
+        assert run_cli(["verify", "--tolerance-report"]) == 2
+        report = capsys.readouterr().out.splitlines()[-5:]
+        assert [line.split()[-1] for line in report] == [
+            "group_associativity", "nan", "tight", "loose", "exact_pass"]
+        assert [line.split()[1] for line in report[:3]] == ["inf", "inf", "9.00e-01"]
 
 
 class TestSweep:

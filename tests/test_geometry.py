@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from supertransport.errors import CapabilityError, DegreeError, ParityError
+from supertransport.errors import CapabilityError, DegreeError, DimensionError, ParityError
 from supertransport.geometry import (
     Connection,
     Curve,
@@ -120,6 +120,13 @@ class TestSuperPathSubstitutions:
         bad = SuperPath.line(n, [G.generator(n, 1)], [0.0], [G.zero(n)], 1.0)
         with pytest.raises(ParityError):
             bad.validate()
+
+    @pytest.mark.parametrize("plane", [(0, 5), (0, 0), (1,), (-1, 0)])
+    def test_circle_plane_names_two_coordinates(self, plane):
+        with pytest.raises(DimensionError, match="circle plane"):
+            SuperPath.circle(2, [0.0, 0.0], 0.5, 1.0, [G.zero(2)] * 2, 1.0, plane=plane)
+        ok = SuperPath.circle(2, [0.0, 0.0], 0.5, 1.0, [G.zero(2)] * 2, 1.0, plane=(1, 0))
+        assert ok.a[0](0.0).body == 0.0 and ok.a[1](0.0).body == 0.5
 
 
 class TestPullbacks:

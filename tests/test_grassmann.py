@@ -410,6 +410,21 @@ class TestTaylor:
             # two independent soul directions force total order 2 > max_order
             taylor_eval(SmoothMap(2, lambda a, x: 1.0, max_order=1), [x, y])
 
+    def test_vanishing_soul_product_needs_no_higher_partial(self):
+        # e12 * e13 = 0, so the series stops at total order 1
+        x = GrassmannElement.from_terms(3, {(): 0.2, (1, 2): 1.0})
+        y = GrassmannElement.from_terms(3, {(): -0.1, (1, 3): 1.0})
+        asked = []
+
+        def oracle(alpha, pt):
+            asked.append(alpha)
+            return [3.0, 2.0, 5.0][sum(i * a for i, a in enumerate(alpha, 1))] * pt[0]
+
+        got = taylor_eval(SmoothMap(2, oracle, max_order=1), [x, y])
+        assert sorted(asked) == [(0, 0), (0, 1), (1, 0)]
+        assert all(type(a) is int for alpha in asked for a in alpha)
+        assert got.terms() == {(): 0.2 * 3.0, (1, 2): 2.0 * 0.2, (1, 3): 5.0 * 0.2}
+
     def test_degree3_against_component_expansion(self, rng):
         # expand the soul symbolically over the 2^N components via the oracle
         import sympy

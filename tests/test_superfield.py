@@ -137,6 +137,22 @@ class TestDerivations:
         with pytest.raises(ResolutionError):
             psi.apply_derivation("D")
 
+    def test_fd4_stack_exact_on_quartics_in_any_layout(self, rng):
+        # the stencils are exact on quartics; a view in another memory layout
+        # (strided, transposed, read-only) gives the result of its C copy
+        h = 0.125
+        ts = np.arange(11) * h
+        coeffs = rng.normal(size=(5, 3, 4))
+        values = np.einsum("kij,tk->tij", coeffs, ts[:, None] ** np.arange(5))
+        slopes = np.einsum("kij,tk->tij", coeffs[1:] * np.arange(1, 5)[:, None, None],
+                           ts[:, None] ** np.arange(4))
+        got = fd4_stack(values, h)
+        assert np.max(np.abs(got - slopes)) < 1e-11
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        for view in (values[:, :, ::2], values.swapaxes(1, 2), np.asfortranarray(values), frozen):
+            assert np.array_equal(fd4_stack(view, h), fd4_stack(view.copy(), h))
+
     def test_unknown_derivation(self):
         grid = Grid(0.0, 0.01, 101)
         psi = scalar_field(2, grid, lambda t: [t, 0, 0, 0], lambda t: [0, 0, 0, 0])
