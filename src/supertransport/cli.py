@@ -32,35 +32,40 @@ from .geometry import (
     Superconnection,
 )
 from .flows import flow_even, flow_odd
-from .grassmann import GrassmannElement, Parity, PolyMap
+from .grassmann import GrassmannElement, Parity, PolyMap, parse_key
 from .superfield import Grid, SuperPoint
 from .transport import DEFAULT_STEPS, adiabatic_sweep, sp
 from .verify import run_suite
 
 
-_GRASSMANN_VALUE = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "object", "patternProperties": {r"^(\d+(\|\d+)*)?$": {"type": "number"}},
-         "additionalProperties": False},
-    ]
-}
+# a number, or an object of numbers under monomial keys (the key patterns
+# apply to objects only)
+_GRASSMANN_VALUE = {"type": ["number", "object"], "additionalProperties": False,
+                    "patternProperties": {r"^(\d+(\|\d+)*)?$": {"type": "number"}}}
 
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_GRASSMANN_LIST = {"type": "array", "items": _GRASSMANN_VALUE}
+_GRASSMANN_TABLES = {"type": "array", "items": _GRASSMANN_LIST}
+_ENDPOINT = {"type": "object", "properties": {"t": _GRASSMANN_VALUE, "theta": _GRASSMANN_VALUE}}
 
 _POLY_TERM = {
     "type": "object",
     "properties": {
         "exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "matrix": _MATRIX,
-        "value": {"type": "number"},
+        "matrix": {"type": "array", "items": _NUMBERS},
+        "value": _NUMBER,
         "odd_indices": {"type": "array", "items": {"type": "integer", "minimum": 1}},
     },
     "required": ["exponents"],
     "additionalProperties": False,
 }
+_POLY_LISTS = {"type": "array", "items": {"type": "array", "items": _POLY_TERM}}
 
 CONFIG_SCHEMA = {
+    # draft 7 has every keyword used here, and its metaschema is checked
+    # several times faster than the 2020-12 default, once per CLI run
+    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "properties": {
         "schema": {"const": 1},
@@ -78,7 +83,7 @@ CONFIG_SCHEMA = {
         "superconnection": {
             "type": "object",
             "properties": {
-                "connection": {"type": "array", "items": {"type": "array", "items": _POLY_TERM}},
+                "connection": _POLY_LISTS,
                 "forms": {"type": "array", "items": {
                     "type": "object",
                     "properties": {
@@ -90,15 +95,22 @@ CONFIG_SCHEMA = {
                 }},
             },
         },
-        "path": {"type": "object", "properties": {"kind": {"type": "string"}},
-                 "required": ["kind"]},
-        "endpoint": {"type": "object",
-                     "properties": {"t": _GRASSMANN_VALUE, "theta": _GRASSMANN_VALUE}},
+        # every field any path kind reads
+        "path": {"type": "object", "required": ["kind"], "properties": {
+            "kind": {"type": "string"}, "t_end": _NUMBER, "radius": _NUMBER, "omega": _NUMBER,
+            "phase": _NUMBER, "t0": _NUMBER, "h": _NUMBER, "nodes": {"type": "integer"},
+            "start": _GRASSMANN_LIST, "velocity": _GRASSMANN_LIST, "eta": _GRASSMANN_LIST,
+            "even": _GRASSMANN_TABLES, "theta": _GRASSMANN_TABLES, "center": _NUMBERS,
+            "plane": {"type": "array", "items": {"type": "integer"}}}},
+        "endpoint": _ENDPOINT,
+        "t_end": _NUMBER,
         "solver": {"type": "object", "properties": {"steps": {"type": "integer", "minimum": 2}}},
         "sweep": {"type": "object",
                   "properties": {"lambdas": {"type": "array",
                                              "items": {"type": "number", "exclusiveMinimum": 0}}}},
-        "flow": {"type": "object"},
+        "flow": {"type": "object", "properties": {
+            "parity": {"type": "string"}, "coefficients": _POLY_LISTS, "init": _GRASSMANN_LIST,
+            "endpoint": _ENDPOINT, "t_end": _NUMBER, "steps": {"type": "integer", "minimum": 2}}},
         "verify": {"type": "object",
                    "properties": {"seed": {"type": "integer"},
                                   "steps": {"type": "integer", "minimum": 10}}},
@@ -145,13 +157,12 @@ def _dims(config: dict) -> Dims:
 
 
 def _key_indices(key: str, top: int) -> tuple[int, ...]:
-    """The indices of a Grassmann-monomial or form-component key "i|j|...",
-    "" for none; the key must list them canonically, increasing strictly
-    within 1..top."""
-    idx = tuple(int(s) for s in key.split("|") if s.isdecimal())
-    if "|".join(map(str, idx)) != key or list(idx) != sorted(set(idx) & set(range(1, top + 1))):
-        raise ConfigError(f"key {key!r} must list strictly increasing indices in 1..{top}")
-    return idx
+    """:func:`parse_key` of a Grassmann-monomial or form-component key; a
+    malformed key is a configuration error."""
+    try:
+        return parse_key(key, top)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _grassmann(value, n: int) -> GrassmannElement:
@@ -175,6 +186,8 @@ def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
             raise ConfigError(f"odd indices {[j + 1 for j in odd]} must increase strictly "
                               f"within 1..{q}")
         if "matrix" in term:
+            if len({len(row) for row in term["matrix"]}) > 1:
+                raise ConfigError("matrix rows differ in length")
             coeff = np.asarray(term["matrix"], dtype=float)
         else:
             coeff = float(term.get("value", 0.0)) * (np.eye(shape[0]) if shape else 1.0)
@@ -251,6 +264,8 @@ def _path(config: dict, dims: Dims) -> SuperPath:
         b_tables = cfg["theta"]
         if len(a_tables) != ncoords or len(b_tables) != ncoords:
             raise ConfigError(f"sampled path needs {ncoords} value tables")
+        if any(len(tab) != grid.nodes for tab in a_tables + b_tables):
+            raise ConfigError(f"sampled path tables need {grid.nodes} values each")
         a = [Curve.from_samples(n, grid, [_grassmann(v, n) for v in tab]) for tab in a_tables]
         b = [Curve.from_samples(n, grid, [_grassmann(v, n) for v in tab]) for tab in b_tables]
         return SuperPath(dims.p, dims.q, n, a, b, t_end)

@@ -2,11 +2,11 @@
 
 Even fields integrate with a classical fixed-step fourth-order scheme run
 directly in Grassmann arithmetic.  Odd fields reduce to an even problem: if
-the flow is written G(t) + theta*H(t), the constraint fixes H = a(G) and the
-time derivative of G is the theta-component of a(G + theta*H), which the
-integrator extracts by adjoining theta as one extra Grassmann generator at
-every stage.  Restricted to theta = 0 this reproduces the flow of the even
-field X^2.
+the flow of X is written G(t) + theta*H(t), the constraint fixes H = a(G),
+and G is the flow of the even field Y = X^2 = (1/2)[X, X], integrated by the
+same scheme.  Theta is adjoined as an extra Grassmann generator only in the
+residual check, which compares the defining equation of the odd flow along
+G + theta*a(G) independently of Y.
 """
 
 from __future__ import annotations
@@ -113,26 +113,13 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     return Trajectory(times, states, n)
 
 
-def _odd_rhs(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
-    """theta-component of a(G + theta*a(G)), theta adjoined as generator n+1."""
-    # the coordinates G^i + theta*a_i(G), keys moved first for adjoin_theta
-    coords = state[:, :, None]
-    coords_hat = adjoin_theta(n, coords.swapaxes(0, 1),
-                              field.coefficient_stack(coords).swapaxes(0, 1)).swapaxes(0, 1)
-    # the theta-free part of each value is a_i(G) = H^i by construction
-    out = np.stack([split_theta(n, v[:, 0])[1] for v in field.coefficient_stack(coords_hat)])
-    if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
-        raise DomainError("flow blew up or left the admissible domain")
-    return out
-
-
 def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPoint,
              steps: int) -> list[GrassmannElement]:
     """Flow of an odd vector field evaluated at an S-point (t, theta).
 
-    Returns G(t) + theta*a(G(t)) with G the solution of the induced even
-    system; a soul in the time coordinate is handled by the terminating
-    Taylor series, whose k-th derivative is (Y^k x)(G) with Y = X^2.
+    Returns G(t) + theta*a(G(t)) with G the flow of the even field
+    Y = X^2; a soul in the time coordinate is handled by the terminating
+    Taylor series, whose k-th derivative is (Y^k x)(G).
     """
     if field.parity is not Parity.ODD:
         raise ParityError("flow_odd integrates odd vector fields")
@@ -143,34 +130,23 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
     state0 = np.stack([x.comps for x in init])
     body = end.t.body
 
-    rhs = lambda t, y: _odd_rhs(field, y, n)
+    Y = field.squared()
     if body == 0.0:
         G_end = state0
     else:
-        _, states = _integrate(rhs, state0, body, steps)
+        _, states = _integrate(lambda t, y: _rhs_even(Y, y, n), state0, body, steps)
         G_end = states[-1]
 
     soul = end.t.soul().comps
     if np.any(soul):
-        # G' = (Y x)(G) for the even field Y = X^2, so the k-th derivative
-        # at the body time is (Y^k x)(G).  The first is the right-hand side
-        # itself, which also takes family-valued coefficients; Y is built
-        # only when a higher one is asked for.
-        G_body = G_end[:, :, None]
-
-        def higher_jets():
-            Y = field.squared()
-            fs = Y.coeffs
-            while True:
-                fs = [Y.apply(f) for f in fs]
-                yield fs
-
-        jets = higher_jets()
+        # G' = (Y x)(G), so the k-th derivative at the body time is (Y^k x)(G)
+        jets = [Y.coeffs]
 
         def derivative(k: int) -> np.ndarray:
-            if k == 1:
-                return rhs(body, G_end).T[:, :, None]
-            return np.stack([f.value_stack(G_body)[:, 0] for f in next(jets)], axis=1)[:, :, None]
+            if k > 1:
+                jets.append([Y.apply(f) for f in jets[-1]])
+            return np.stack([f.value_stack(G_end[:, :, None])[:, 0] for f in jets[-1]],
+                            axis=1)[:, :, None]
 
         G_end = G_end + soul_series(n, soul, derivative)[:, :, 0].T
 
@@ -183,10 +159,11 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
                       t_end: float, steps: int) -> float:
     """Residual of the defining equation of the odd flow along the solution.
 
-    Samples the flow alpha = G + theta*H on its grid, applies the odd
-    derivation to the coordinates, and compares with the field coefficients
-    evaluated along alpha (theta adjoined as a generator).  Time derivatives
-    of G use the same fourth-order stencils as the field calculus.
+    Samples the flow alpha = G + theta*H on its grid (G the flow of X^2),
+    applies the odd derivation to the coordinates, and compares with the
+    coefficients of X itself evaluated along alpha (theta adjoined as a
+    generator).  Time derivatives of G use the same fourth-order stencils as
+    the field calculus.
     """
     from .superfield import fd4_stack
 
@@ -195,7 +172,8 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     n = init[0].n
     _check_init(field, init, n)
     state0 = np.stack([x.comps for x in init])
-    times, G_states = _integrate(lambda t, y: _odd_rhs(field, y, n), state0, t_end, steps)
+    Y = field.squared()
+    times, G_states = _integrate(lambda t, y: _rhs_even(Y, y, n), state0, t_end, steps)
     G = np.moveaxis(G_states, 0, 2)
     Gdot = np.moveaxis(fd4_stack(G_states, times[1] - times[0]), 0, 2)
 

@@ -345,6 +345,16 @@ def key_from_indices(indices: Sequence[int]) -> int:
     return key
 
 
+def parse_key(key: str, top: int) -> tuple[int, ...]:
+    """The indices of a monomial key "i|j|..." as :meth:`GrassmannElement.to_json_dict`
+    writes it, "" for the unit; a key that does not list them canonically,
+    increasing strictly within 1..top, raises ValueError."""
+    idx = tuple(int(s) for s in key.split("|") if s.isdecimal())
+    if "|".join(map(str, idx)) != key or list(idx) != sorted(set(idx) & set(range(1, top + 1))):
+        raise ValueError(f"key {key!r} must list strictly increasing indices in 1..{top}")
+    return idx
+
+
 def indices_from_key(key: int) -> tuple[int, ...]:
     out = []
     i = 1
@@ -556,8 +566,7 @@ class GrassmannElement:
     def from_json_dict(cls, n: int, data: Mapping[str, float]) -> "GrassmannElement":
         comps = np.zeros(1 << n)
         for key, coeff in data.items():
-            indices = tuple(int(s) for s in key.split("|")) if key else ()
-            comps[key_from_indices(indices)] = float(coeff)
+            comps[key_from_indices(parse_key(key, n))] = float(coeff)
         return cls(n, comps)
 
 

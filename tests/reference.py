@@ -3,8 +3,9 @@
 Deliberately written with different machinery than the package: Grassmann
 elements as index-tuple dictionaries with permutation-sorted signs, the
 left-regular matrix representation for flattening to plain real linear
-algebra, scipy integrators for reference ODE solves, and sympy for
-polynomial derivatives.
+algebra, scipy integrators for reference ODE solves, sympy for
+polynomial derivatives, and for odd flows the theta-adjoined defining
+equation in place of the package's route through X^2.
 """
 
 from __future__ import annotations
@@ -205,6 +206,65 @@ def flow_oracle(field, init_stack: np.ndarray, t_end: float, n: int,
     if not sol.success:
         raise RuntimeError(sol.message)
     return sol.y[:, -1].reshape(ncoords, 1 << n)
+
+
+def _theta_rhs(field, G: np.ndarray, n: int) -> np.ndarray:
+    """theta-component of a(G + theta*a(G)) at (ncoords, 2**n) coordinates,
+    theta adjoined as generator n + 1: the time derivative of the body part
+    of an odd flow, read off the defining equation without X^2."""
+    from supertransport.grassmann import adjoin_theta, split_theta
+
+    coords = G[:, :, None]
+    H = field.coefficient_stack(coords)
+    alpha = adjoin_theta(n, coords.swapaxes(0, 1), H.swapaxes(0, 1)).swapaxes(0, 1)
+    return np.stack([split_theta(n, v[:, 0])[1] for v in field.coefficient_stack(alpha)])
+
+
+def odd_flow_oracle(field, init_stack: np.ndarray, t: dict, theta: dict, n: int,
+                    steps: int) -> np.ndarray:
+    """The odd flow G + theta*a(G) at the S-point (t, theta), never through X^2.
+
+    G is marched to the body time by the classical RK4 scheme on
+    :func:`_theta_rhs`.  A soul s of t adds sum_k s**k c_k, where c_k are the
+    Taylor coefficients of G, computed in Taylor mode: G + sum_k c_k tau**k
+    with tau = f1 f2 + f3 f4 + ... over K fresh generator pairs (tau**K != 0,
+    tau**(K+1) = 0), and c_{k+1} is 1/((k+1) k!) times the coefficient of
+    f1...f2k in _theta_rhs of it.  Returns the (ncoords, 2**n) components.
+    """
+    G = init_stack.copy()
+    body = t.get((), 0.0)
+    if body:
+        h = body / steps
+        for _ in range(steps):
+            k1 = _theta_rhs(field, G, n)
+            k2 = _theta_rhs(field, G + (h / 2) * k1, n)
+            k3 = _theta_rhs(field, G + (h / 2) * k2, n)
+            k4 = _theta_rhs(field, G + h * k3, n)
+            G = G + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    soul = {k: c for k, c in t.items() if k}
+    powers = [{(): 1.0}]
+    while gmul(powers[-1], soul):
+        powers.append(gmul(powers[-1], soul))
+    K = len(powers) - 1
+    m = n + 2 * K
+    dim = 1 << n
+    pairs = [((1 << 2 * k) - 1) << n for k in range(K + 1)]  # key of f1...f2k
+    c = [G]
+    for k in range(K):
+        u = np.zeros((len(G), 1 << m))
+        u[:, :dim] = G
+        for j in range(1, k + 1):
+            # tau**j = j! * (sum of the products of j distinct pairs)
+            for S in itertools.combinations(range(K), j):
+                key = sum(3 << (n + 2 * i) for i in S)
+                u[:, key:key + dim] += math.factorial(j) * c[j]
+        d = _theta_rhs(field, u, m)[:, pairs[k]:pairs[k] + dim]
+        c.append(d / ((k + 1) * math.factorial(k)))
+    G = sum(np.stack([left_regular(n, powers[k]) @ col for col in c[k]]) for k in range(K + 1))
+
+    H = field.coefficient_stack(G[:, :, None])[:, :, 0]
+    return G + np.stack([left_regular(n, theta) @ col for col in H])
 
 
 class SymbolicFieldEvaluator:

@@ -1,14 +1,20 @@
 """The config-driven command line."""
 
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import supertransport.cli as cli
 from supertransport.cli import main
@@ -168,9 +174,24 @@ class TestErrors:
          "increasing indices"),
         (_circle([0, 5]), "circle plane"),
         (_circle([0, 0]), "circle plane"),
+        # these ended in tracebacks before the path fields were typed and
+        # the table lengths checked
+        (_circle(5), "['path', 'plane']"),
+        (lambda cfg: _circle([0, 1])(cfg) or cfg["path"].update(radius="x"),
+         "['path', 'radius']"),
+        (lambda cfg: cfg["path"].update(t_end="x"), "['path', 't_end']"),
+        (lambda cfg: cfg["path"]["eta"][1].update({"2": None}), "['path', 'eta', 1, '2']"),
+        (lambda cfg: cfg["path"].update(start=[0.1, []]), "['path', 'start', 1]"),
+        (lambda cfg: cfg["superconnection"]["connection"][0][0]["matrix"].__setitem__(0, []),
+         "rows differ"),
+        (lambda cfg: cfg.update(path={"kind": "sampled", "t0": 0.0, "h": 0.1, "nodes": 12,
+                                      "even": [[0.0] * 12, [0.0] * 11],
+                                      "theta": [[0.0] * 12] * 2}), "12 values each"),
     ], ids=["generator-beyond-N", "repeated-generator", "form-key-not-an-index",
             "form-key-beyond-p", "decreasing-generators", "monomial-twice",
-            "circle-plane-beyond-p", "circle-plane-repeated"])
+            "circle-plane-beyond-p", "circle-plane-repeated", "circle-plane-not-a-list",
+            "circle-radius-not-a-number", "path-t_end-not-a-number", "eta-coefficient-null",
+            "line-start-list", "ragged-matrix", "short-sample-table"])
     def test_malformed_keys_and_plane_exit_1(self, tmp_path, capsys, edit, message):
         cfg = json.loads((CONFIGS / "default.json").read_text())
         edit(cfg)
@@ -179,6 +200,22 @@ class TestErrors:
         assert run_cli(["transport", "--config", str(bad), "--steps", "8"]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "config" and message in err["message"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["flow"]["init"].__setitem__(0, "x"),
+        lambda cfg: cfg["flow"].update(steps="x"),
+        lambda cfg: cfg["flow"]["coefficients"][0][0].update(value=None),
+    ], ids=["init", "steps", "term-value"])
+    def test_bad_flow_fields_exit_1(self, tmp_path, capsys, edit):
+        # each ended in a ValueError, TypeError or AttributeError traceback
+        # before the flow section was typed in the schema
+        cfg = json.loads((CONFIGS / "flow_demo.json").read_text())
+        edit(cfg)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["flow", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and "config schema violation at ['flow'" in err["message"]
 
     def test_numerical_error_exit_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "default.json").read_text())
@@ -274,6 +311,59 @@ class TestSweep:
         data = json.loads(out.read_text())
         dists = [e["distance_to_limit"] for e in data["entries"]]
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+SHIPPED_RUNS = [("default.json", "transport"), ("default.json", "sweep"),
+                ("point_case.json", "transport"), ("flow_demo.json", "flow")]
+NON_CANONICAL_KEYS = ["2|1", "1|1", "0", "01", "1|", "x", "9"]
+
+
+def _positions(node, path=()):
+    """Key paths of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    """A shipped run whose config has one value replaced, or one object key
+    renamed to a non-canonical Grassmann key."""
+    name, command = draw(st.sampled_from(SHIPPED_RUNS))
+    cfg = json.loads((CONFIGS / name).read_text())
+    path = draw(st.sampled_from(list(_positions(cfg))))
+    parent = functools.reduce(operator.getitem, path[:-1], cfg)
+    key = path[-1]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        parent[draw(st.sampled_from([k for k in NON_CANONICAL_KEYS if k not in parent]))] = \
+            parent.pop(key)
+        return command, cfg
+    # wrong types, NaN, an empty list, out-of-range indices and sizes
+    choices = ["x", None, True, {}, math.nan, [], -1, 0, 99]
+    if path == ("dims", "N"):  # never grow the algebra
+        choices = [c for c in choices if not (type(c) is int and c > parent[key])]
+    if isinstance(parent, list) and len(parent) > 1:
+        choices.append(parent[1 if key == 0 else 0])  # a repeated entry
+    parent[key] = draw(st.sampled_from(choices))
+    return command, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_runs())
+def test_mutated_configs_exit_with_a_code(run):
+    command, cfg = run
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--steps", "2",
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        report = json.loads(err.getvalue().strip().splitlines()[-1])
+        assert report["error"] == ("config" if code == 1 else "numerical")
 
 
 def test_console_entry_point():

@@ -11,7 +11,7 @@ from supertransport.geometry import GrassmannPoly, SuperVectorField
 from supertransport.grassmann import GrassmannElement, Parity, PolyMap
 from supertransport.superfield import SuperPoint
 
-from reference import flow_oracle, gadd, gmul, gscale, to_components
+from reference import flow_oracle, gadd, gmul, gscale, odd_flow_oracle, to_components
 
 G = GrassmannElement
 
@@ -221,3 +221,62 @@ class TestFlowOdd:
         x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
         assert x.allclose(G.scalar(n, 0.5) + c * end.t, 1e-14)
         assert z.norm() == 0.0
+
+
+def generic_field_r12():
+    """A polynomial odd field on R^{1|2} with every coefficient x-dependent."""
+    return SuperVectorField(1, 2, Parity.ODD, [
+        GrassmannPoly(1, 2, {(0,): PolyMap(1, {(0,): 0.3, (1,): 0.5}),
+                             (1,): PolyMap(1, {(0,): -0.2, (2,): 0.4})}),
+        GrassmannPoly(1, 2, {(): PolyMap(1, {(0,): 1.0, (1,): -0.3}),
+                             (0, 1): PolyMap(1, {(1,): 0.6})}),
+        GrassmannPoly(1, 2, {(): PolyMap(1, {(0,): 0.4, (2,): 0.2}),
+                             (0, 1): PolyMap(1, {(0,): -0.5})}),
+    ])
+
+
+def family_field_r11(n):
+    """c z d/dx + (1 + 0.3 x) d/dz with the family payload c = 1 + e12/2."""
+    c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
+    return SuperVectorField(1, 1, Parity.ODD, [
+        GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
+        GrassmannPoly(1, 1, {(): PolyMap(1, {(0,): 1.0, (1,): 0.3})}),
+    ])
+
+
+class TestFlowOddAgainstThetaRoute:
+    """flow_odd integrates X^2; the oracle marches the theta-component of
+    a(G + theta*a(G)) and takes the soul's jets in Taylor mode, never
+    building X^2.  Both soulful times below have a nonzero square, so the
+    series reaches the second jet."""
+
+    n = 4
+
+    def cases(self):
+        n = self.n
+        generic = (generic_field_r12(),
+                   [G.from_terms(n, {(): 0.4, (1, 2): 0.3, (3, 4): -0.2}),
+                    G.from_terms(n, {(1,): 0.5, (2, 3, 4): 0.1}),
+                    G.from_terms(n, {(2,): -0.3, (4,): 0.2})],
+                   SuperPoint(G.from_terms(n, {(): 0.8, (1, 3): 0.5, (2, 4): -0.4, (1, 2): 0.3}),
+                              G.from_terms(n, {(1,): 0.6, (3,): -0.5, (1, 2, 4): 0.2})))
+        family = (family_field_r11(n),
+                  [G.from_terms(n, {(): 0.5, (1, 3): 0.2}), G.generator(n, 2) * 0.3],
+                  SuperPoint(G.from_terms(n, {(): 1.0, (1, 3): 1.0, (2, 4): 1.0}),
+                             G.generator(n, 1) * 0.5))
+        return {"generic-R12": generic, "family": family}
+
+    @pytest.mark.parametrize("case", ["generic-R12", "family"])
+    def test_matches_oracle(self, case):
+        X, init, end = self.cases()[case]
+        got = np.stack([v.comps for v in flow_odd(X, init, end, 16)])
+        want = odd_flow_oracle(X, np.stack([v.comps for v in init]), end.t.terms(),
+                               end.theta.terms(), self.n, 16)
+        assert float(np.max(np.abs(got - want))) <= 1e-14
+        # the value has soul components, from the jets and from theta
+        assert float(np.max(np.abs(got[:, 1:]))) > 0.1
+
+    @pytest.mark.parametrize("case", ["generic-R12", "family"])
+    def test_defining_equation_residual(self, case):
+        X, init, end = self.cases()[case]
+        assert flow_odd_residual(X, init, end.t.body, 128) < 1e-7

@@ -1,6 +1,7 @@
 """Scalar algebra, graded matrices, Taylor extension, graded exponential."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from supertransport.grassmann import (
     mul_components,
     mul_stacks,
     node_blocks,
+    parse_key,
     ring_parity_signs,
     scale_stack,
     sign_twist,
@@ -131,6 +133,25 @@ class TestScalarAlgebra:
         data = u.to_json_dict()
         back = GrassmannElement.from_json_dict(3, data)
         assert back == u  # bit exact
+
+    def test_serialization_reads_only_canonical_keys(self):
+        # e2 e1 = -e1 e2: "2|1" was read as +0.5 e1 e2, and of the pair
+        # {"1|2", "2|1"} only the last survived
+        for data in ({"2|1": 0.5}, {"1|2": 0.3, "2|1": 0.5}, {"1|1": 1.0}, {"3": 1.0},
+                     {"0": 1.0}, {"01": 1.0}, {"1|": 1.0}, {"x": 1.0}):
+            bad = next(k for k in data if k != "1|2")
+            with pytest.raises(ValueError, match=re.escape(f"key {bad!r}")):
+                GrassmannElement.from_json_dict(2, data)
+        u = GrassmannElement.from_json_dict(2, {"": 1.5, "1": 0.25, "2": -1.0, "1|2": 0.3})
+        assert u.terms() == {(): 1.5, (1,): 0.25, (2,): -1.0, (1, 2): 0.3}
+        assert GrassmannElement.from_json_dict(0, {"": 2.0}) == GrassmannElement.scalar(0, 2.0)
+
+    def test_parse_key(self):
+        assert parse_key("", 3) == ()
+        assert parse_key("1|3", 3) == (1, 3)
+        for key in ("3|1", "1|1", "4", "0", "01", "|1", "1||2", " 1", "1.0", "\u0661"):
+            with pytest.raises(ValueError, match="increasing indices"):
+                parse_key(key, 3)
 
     def test_split_theta(self):
         u = GrassmannElement.from_terms(3, {(1, 3): 2.0, (2,): 1.0, (): 0.5})
