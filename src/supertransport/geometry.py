@@ -28,12 +28,17 @@ of nodes rather than one per node.  `lift_pullback` takes the route
 through the odd tangent bundle R^{p|p}: the form becomes the odd-monomial
 function dx^I -> z^I, evaluated along `odd_tangent_lift` of the path.
 
+Composition with an inner curve g (`Curve.compose`, substituted paths) goes
+through one shared table: one soul series gives the values and first
+derivatives at g(u) of all curves composed with g (`_Composition`).
+
 Thread safety: curves, paths, polynomials, forms and connections are not
-changed after construction, with one exception: a curve builds its
+changed after construction, with these exceptions: a curve builds its
 derivative curve on first use and keeps it (``Curve._derivative``), as a
-`SuperField` keeps its derivative stacks.  Both fills are idempotent --
-threads that race build equal values and either is kept -- so all of these
-objects may be shared between threads.
+`SuperField` keeps its derivative stacks, and a composition keeps its last
+table in a one-entry memo keyed on the sample times.  All of these fills
+are idempotent -- threads that race build equal values and either is kept --
+so all of these objects may be shared between threads.
 """
 
 from __future__ import annotations
@@ -102,27 +107,13 @@ class Curve:
                 self._derivative = _fd_curve(self)
         return self._derivative
 
-    def _sample_at(self, times: np.ndarray) -> np.ndarray:
-        """Values at even times with nilpotent souls, given as (2**n, nodes)
-        component columns: one terminating Taylor series over the nodes."""
-        bodies = times[0]
-        souls = times.copy()
-        souls[0] = 0.0
-        chain = [self]
-
-        def at_body(k: int) -> np.ndarray:
-            chain.append(chain[-1].derivative())
-            return chain[k].sample(bodies)
-
-        return self.sample(bodies) + soul_series(self.n, souls, at_body)
-
     def eval_grassmann(self, t: GrassmannElement) -> GrassmannElement:
         """Evaluate at an even time with nilpotent soul (terminating Taylor)."""
         if t.n != self.n:
             raise DimensionError("time argument lives over a different algebra")
         if not t.is_even():
             raise ParityError("time argument must be even")
-        return GrassmannElement(self.n, self._sample_at(t.comps[:, None])[:, 0])
+        return GrassmannElement(self.n, self.compose(Curve.constant(self.n, t)).sample([0.0])[:, 0])
 
     # -- combinators ---------------------------------------------------------
 
@@ -152,10 +143,9 @@ class Curve:
                      lambda: self.derivative() * other + self * other.derivative())
 
     def compose(self, inner: "Curve") -> "Curve":
-        """self(inner(u)) for an even inner curve; where inner(u) has a soul,
-        the terminating Taylor series in it is summed."""
-        return Curve(self.n, lambda us: self._sample_at(inner.sample(us)),
-                     lambda: self.derivative().compose(inner) * inner.derivative())
+        """self(inner(u)) for an even inner curve (a one-curve `_Composition`);
+        where inner(u) has a soul, the terminating Taylor series is summed."""
+        return _Composition([self], inner).column(0, 0)
 
     def power(self, exponent: float) -> "Curve":
         """Real power of a real-valued curve (used for sqrt of r')."""
@@ -235,8 +225,10 @@ class Curve:
 
     @classmethod
     def from_samples(cls, n: int, grid: Grid, values: Sequence[GrassmannElement]) -> "Curve":
-        """Quartic interpolation of sampled values; derivatives via FD4 stacks."""
+        """Quartic interpolation of one value per grid node; derivatives via FD4 stacks."""
         from .superfield import fd4_stack, interpolate_stack
+        if len(values) != grid.nodes:
+            raise DimensionError(f"expected {grid.nodes} sampled values, got {len(values)}")
 
         def make(stk: np.ndarray) -> Curve:
             return Curve(n, lambda ts: interpolate_stack(grid, stk, ts).T,
@@ -251,6 +243,48 @@ def _fd_curve(base: Curve, h: float = _FD_STEP) -> Curve:
                 + 8.0 * base.sample(ts + h) - base.sample(ts + 2 * h)) / (12.0 * h)
 
     return Curve(base.n, sample)
+
+
+class _Composition:
+    """Curves c_i composed with one even inner curve g, sampled as one table.
+
+    ``table(us)`` stacks c_i(g(u)) and c_i'(g(u)) as (2**n, nodes, 2, m) from
+    one terminating Taylor series in the souls of g(u), whose order-k term
+    samples the k-th and (k+1)-th derivatives of every c_i at the bodies; a
+    one-entry memo keyed on the times lets all columns share it.
+    """
+
+    __slots__ = ("curves", "inner", "_memo")
+
+    def __init__(self, curves: Sequence[Curve], inner: Curve):
+        self.curves, self.inner, self._memo = tuple(curves), inner, None
+
+    def table(self, us: np.ndarray) -> np.ndarray:
+        key, memo = us.tobytes(), self._memo
+        if memo is None or memo[0] != key:
+            times = self.inner.sample(us)
+            souls = times.copy()
+            souls[0] = 0.0
+            chains = [[c] for c in self.curves]
+
+            def at_body(k: int) -> np.ndarray:
+                for chain in chains:
+                    while len(chain) < k + 2:
+                        chain.append(chain[-1].derivative())
+                return np.stack([np.stack([ch[k].sample(times[0]), ch[k + 1].sample(times[0])], -1)
+                                 for ch in chains], -1)
+
+            table = at_body(0) + soul_series(self.inner.n, souls, at_body)
+            table.setflags(write=False)  # columns are views of it
+            memo = self._memo = (key, table)  # a racing fill stores an equal table
+        return memo[1]
+
+    def column(self, i: int, order: int) -> Curve:
+        """c_i(g(u)) (order 0) or c_i'(g(u)) (order 1); the derivative is
+        c_i'(g(u)) g'(u) from this table, or (c_i' o g)'."""
+        return Curve(self.inner.n, lambda us: self.table(us)[:, :, order, i],
+                     lambda: self.column(i, 1) * self.inner.derivative() if order == 0
+                     else self.curves[i].derivative().compose(self.inner).derivative())
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +365,14 @@ class GrassmannPoly:
         Result shape: (2**n, nodes) + value shape, the value shape being ()
         for family-valued coefficients and coeff_shape otherwise.
         """
-        if len(coords) != self.p + self.q:
-            raise DimensionError(f"expected {self.p + self.q} coordinates")
+        _check_coordinates(self.p, self.q, coords)
+        return self._values(coords)
+
+    def _values(self, coords: np.ndarray) -> np.ndarray:  # on checked coordinates
         _, dim, nodes = coords.shape
         n = dim.bit_length() - 1
         evens = coords[:self.p]
         odds = coords[self.p:]
-        for i, x in enumerate(coords):
-            if int(i < self.p) in parities_present(n, x):
-                raise ParityError(f"coordinate {i} has a value of the wrong parity")
         lam = self.lambda_n
         if lam is not None and 1 << lam > dim:
             raise DimensionError("coefficient algebra larger than coordinate algebra")
@@ -458,6 +491,16 @@ class GrassmannPoly:
         return {(len(J) + g) % 2 for J, f in self.terms.items() for g in self._payload_parities(f)}
 
 
+def _check_coordinates(p: int, q: int, coords: np.ndarray) -> None:
+    """Count and parities of (p + q, 2**n, nodes) coordinate columns."""
+    if len(coords) != p + q:
+        raise DimensionError(f"expected {p + q} coordinates")
+    n = coords.shape[1].bit_length() - 1
+    for i, x in enumerate(coords):
+        if int(i < p) in parities_present(n, x):
+            raise ParityError(f"coordinate {i} has a value of the wrong parity")
+
+
 def _merge_odd_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
     merged = list(a)
     sign = 1.0
@@ -529,8 +572,9 @@ class SuperVectorField:
 
     def coefficient_stack(self, coords: np.ndarray) -> np.ndarray:
         """The (p + q, 2**n, nodes) coefficient values at (p + q, 2**n, nodes)
-        coordinate columns; see :meth:`GrassmannPoly.value_stack`."""
-        return np.stack([c.value_stack(coords) for c in self.coeffs])
+        coordinate columns (checked once); see :meth:`GrassmannPoly.value_stack`."""
+        _check_coordinates(self.p, self.q, coords)
+        return np.stack([c._values(coords) for c in self.coeffs])
 
 
 def _unit_expo(p: int, i: int) -> tuple[int, ...]:
@@ -610,19 +654,18 @@ class SuperPath:
 
             A(u) = a(g(u)) + tau * b(g(u))
             B(u) = rho * a'(g(u)) + e(u) * b(g(u)) - tau*rho * b'(g(u))
+
+        A, B and the velocities A' = a'(g) g' + tau * b'(g) g' read their
+        columns from one `_Composition` of all a_i and b_i with g.
         """
-        if isinstance(e, (int, float)):
-            e_curve = Curve.constant(self.n, float(e))
-        else:
-            e_curve = e
+        e_curve = Curve.constant(self.n, float(e)) if isinstance(e, (int, float)) else e
         taurho = tau * rho
-        new_a = []
-        new_b = []
+        curves = list(dict.fromkeys(self.a + self.b))  # a lift repeats its b curves
+        comp = _Composition(curves, g)
+        new_a, new_b = [], []
         for ca, cb in zip(self.a, self.b):
-            a_g = ca.compose(g)
-            b_g = cb.compose(g)
-            da_g = ca.derivative().compose(g)
-            db_g = cb.derivative().compose(g)
+            a_g, da_g, b_g, db_g = (comp.column(curves.index(c), order)
+                                    for c in (ca, cb) for order in (0, 1))
             A = a_g + b_g.scale_left(tau)
             B = da_g.scale_left(rho) + e_curve * b_g
             if taurho.norm() != 0.0:

@@ -4,8 +4,10 @@ Deliberately written with different machinery than the package: Grassmann
 elements as index-tuple dictionaries with permutation-sorted signs, the
 left-regular matrix representation for flattening to plain real linear
 algebra, scipy integrators for reference ODE solves, sympy for
-polynomial derivatives, and for odd flows the theta-adjoined defining
-equation in place of the package's route through X^2.
+polynomial derivatives, for odd flows the theta-adjoined defining
+equation in place of the package's route through X^2, and for path
+substitution one composition (one soul series) per curve in place of the
+package's shared table.
 """
 
 from __future__ import annotations
@@ -375,3 +377,50 @@ def expm_series_oracle(n: int, comp_stack: np.ndarray, row_split, col_split,
         acc = acc + power
     r = comp_stack.shape[1]
     return solution_matrix_to_stack(acc, n, r)
+
+
+# -- path substitution, one curve at a time ---------------------------------------
+
+
+def _composed(curve, inner):
+    """curve(inner(u)): each sample sums its own terminating Taylor series in
+    the souls of inner(u); the derivative is curve'(inner(u)) * inner'(u)."""
+    from supertransport.geometry import Curve
+    from supertransport.grassmann import soul_series
+
+    def sample(us):
+        times = inner.sample(us)
+        bodies, souls = times[0], times.copy()
+        souls[0] = 0.0
+        chain = [curve]
+
+        def at_body(k):
+            chain.append(chain[-1].derivative())
+            return chain[k].sample(bodies)
+
+        return curve.sample(bodies) + soul_series(curve.n, souls, at_body)
+
+    return Curve(curve.n, sample, lambda: _composed(curve.derivative(), inner) * inner.derivative())
+
+
+def substituted_oracle(path, g, rho, tau, e, t_end):
+    """SuperPath.substituted with a_i, b_i, a_i' and b_i' each composed with g
+    on its own:
+
+        A(u) = a(g(u)) + tau * b(g(u))
+        B(u) = rho * a'(g(u)) + e(u) * b(g(u)) - tau*rho * b'(g(u))
+    """
+    from supertransport.geometry import Curve, SuperPath
+
+    e_curve = Curve.constant(path.n, float(e)) if isinstance(e, (int, float)) else e
+    taurho = tau * rho
+    new_a, new_b = [], []
+    for ca, cb in zip(path.a, path.b):
+        a_g, b_g = _composed(ca, g), _composed(cb, g)
+        da_g, db_g = _composed(ca.derivative(), g), _composed(cb.derivative(), g)
+        B = da_g.scale_left(rho) + e_curve * b_g
+        if taurho.norm() != 0.0:
+            B = B - db_g.scale_left(taurho)
+        new_a.append(a_g + b_g.scale_left(tau))
+        new_b.append(B)
+    return SuperPath(path.p, path.q, path.n, new_a, new_b, t_end, path.margin)

@@ -1,5 +1,8 @@
 """Curves, superpaths, pullback assembly, forms, vector fields."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,14 @@ from supertransport.geometry import (
 from supertransport.grassmann import AlgebraMap, GrassmannElement, Parity, PolyMap, SmoothMap
 from supertransport.superfield import Grid, SuperPoint
 
-from reference import SymbolicFieldEvaluator, from_element, gadd, gmul, to_components
+from reference import (
+    SymbolicFieldEvaluator,
+    from_element,
+    gadd,
+    gmul,
+    substituted_oracle,
+    to_components,
+)
 
 
 G = GrassmannElement
@@ -79,6 +89,15 @@ class TestCurve:
         assert abs(c.derivative()(0.52).body - (3 * 0.52 ** 2 - 1)) < 1e-9
 
 
+    @pytest.mark.parametrize("count", [5, 20])
+    def test_from_samples_needs_one_value_per_node(self, count):
+        # a short list used to raise IndexError on sampling, a long one was
+        # cut without a word
+        grid = Grid(0.0, 0.1, 11)
+        with pytest.raises(DimensionError, match=f"expected 11 sampled values, got {count}"):
+            Curve.from_samples(2, grid, [G.scalar(2, 0.1 * k) for k in range(count)])
+
+
 class TestSuperPathSubstitutions:
     def path(self, n=2):
         e1, e2 = G.generator(n, 1), G.generator(n, 2)
@@ -127,6 +146,76 @@ class TestSuperPathSubstitutions:
             SuperPath.circle(2, [0.0, 0.0], 0.5, 1.0, [G.zero(2)] * 2, 1.0, plane=plane)
         ok = SuperPath.circle(2, [0.0, 0.0], 0.5, 1.0, [G.zero(2)] * 2, 1.0, plane=(1, 0))
         assert ok.a[0](0.0).body == 0.0 and ok.a[1](0.0).body == 0.5
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _graded_path(n):
+    """A path into R^{2|1} with soulful harmonic and polynomial curves."""
+    e = [G.generator(n, i) for i in range(1, n + 1)]
+    a = [Curve.harmonic(n, G.scalar(n, 1.0) + e[0] * e[1] * 0.3, 1.3, 0.2, 0.1),
+         Curve.polynomial(n, [0.2, G.scalar(n, 0.5) + e[1] * e[2] * 0.2, 0.3]),
+         Curve.polynomial(n, [e[0] * 0.4, e[2] * 0.7, e[3] * 0.2])]
+    b = [Curve.harmonic(n, e[1] * 0.5, 0.9, 0.0, e[2] * 0.1, kind="sin"),
+         Curve.polynomial(n, [e[0] * 0.3, e[3] * 0.2]),
+         Curve.polynomial(n, [0.5, G.scalar(n, 0.1) + e[0] * e[3] * 0.2])]
+    return SuperPath(2, 1, n, a, b, 1.0)
+
+
+class TestSharedComposition:
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("kind", ["translated", "reversed_through", "shifted_by_inverse",
+                                      "reparametrized"])
+    def test_substitutions_match_per_curve_oracle(self, n, kind):
+        # soulful t0 with a nonzero soul square, theta0 != 0; the shared
+        # table adds and multiplies in the order the per-curve composition
+        # did, so values and two derivatives agree bit for bit
+        path = _graded_path(n)
+        e = [G.generator(n, i) for i in range(1, n + 1)]
+        pt = SuperPoint(G.scalar(n, 0.6) + e[0] * e[1] * 0.3 + e[2] * e[3] * 0.2,
+                        e[0] * 0.5 + e[3] * 0.25)
+        zero = G.zero(n)
+        r = Curve.polynomial(n, [0.0, 0.8, 0.3])
+        got, want = {
+            "translated": lambda: (path.translated(pt), substituted_oracle(
+                path, Curve.polynomial(n, [pt.t, 1.0]), pt.theta, pt.theta, 1.0, 0.4)),
+            "reversed_through": lambda: (path.reversed_through(pt), substituted_oracle(
+                path, Curve.polynomial(n, [pt.t, -1.0]), -pt.theta, pt.theta, -1.0, 0.6)),
+            "shifted_by_inverse": lambda: (path.shifted_by_inverse(pt, 1.0), substituted_oracle(
+                path, Curve.polynomial(n, [-pt.t, 1.0]), -pt.theta, -pt.theta, 1.0, 1.0)),
+            "reparametrized": lambda: (path.reparametrized(r, 1.0), substituted_oracle(
+                path, r, zero, zero, r.derivative().power(0.5), 1.0)),
+        }[kind]()
+        us = np.linspace(0.05, 0.55, 7)
+        for c_got, c_want in zip(got.a + got.b, want.a + want.b):
+            for _ in range(3):  # values, first and second derivatives
+                assert np.array_equal(c_got.sample(us), c_want.sample(us))
+                c_got, c_want = c_got.derivative(), c_want.derivative()
+        assert got.t_end == want.t_end
+
+    def test_reversed_lift_composes_in_one_soul_series(self, monkeypatch):
+        from supertransport import geometry
+        from supertransport.grassmann import soul_series
+        from supertransport.transport import lift_problem
+
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        rev = lift_problem(path, sc)[0].reversed_through(end)
+        times = Grid.over(0.0, end.t.body, 2 * workloads.CHART_STEPS + 1).times()
+        assert len(times) == 13
+        calls = []
+        monkeypatch.setattr(geometry, "soul_series",
+                            lambda *args: calls.append(args) or soul_series(*args))
+        # what the connection and endomorphism assemblers sample: every
+        # coordinate, twice, and the velocities of the even parts
+        for _ in range(2):
+            geometry._adjoined_coordinates(rev, times)
+        for c in rev.a:
+            c.derivative().sample(times)
+        assert 1 <= len(calls) <= 2  # one series per curve pair made 40
 
 
 class TestPullbacks:
@@ -389,6 +478,32 @@ class TestVectorFields:
         bad = GrassmannPoly(1, 1, {(): PolyMap.constant(1, 1.0)})  # even term
         with pytest.raises(ParityError):
             SuperVectorField(1, 1, Parity.ODD, [bad, bad])
+
+    def test_coordinates_checked_once_per_coefficient_stack(self, monkeypatch):
+        from supertransport import geometry
+        from supertransport.flows import flow_even
+
+        a_x = GrassmannPoly(1, 1, {(): PolyMap(1, {(1,): 1.0})})             # x
+        a_z = GrassmannPoly(1, 1, {(0,): PolyMap(1, {(0,): 1.0, (2,): 0.5})})  # (1 + x^2/2) zeta
+        Y = SuperVectorField(1, 1, Parity.EVEN, [a_x, a_z])
+        n = 3
+        good = np.stack([G.from_terms(n, {(): 0.4, (1, 2): 0.3}).comps,
+                         G.generator(n, 3).comps])[:, :, None]
+        checked = []
+        present = geometry.parities_present
+        monkeypatch.setattr(geometry, "parities_present",
+                            lambda *args: checked.append(1) or present(*args))
+        values = Y.coefficient_stack(good)
+        assert len(checked) == 2  # one per coordinate, not per coefficient as well
+        for got, c in zip(values, Y.coeffs):
+            assert np.array_equal(got, c.value_stack(good))
+        for i, swapped in enumerate([G.generator(n, 1), G.scalar(n, 0.5)]):
+            bad = good.copy()
+            bad[i, :, 0] = swapped.comps
+            with pytest.raises(ParityError, match=f"coordinate {i} has a value of the wrong parity"):
+                Y.coefficient_stack(bad)
+            with pytest.raises(ParityError):
+                flow_even(Y, [GrassmannElement(n, x[:, 0]) for x in bad], 0.5, 4)
 
     def test_family_valued_products_are_multiplicative(self):
         # (f g)(c) = f(c) g(c) for family payloads of mixed parity passing
