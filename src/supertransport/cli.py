@@ -32,7 +32,7 @@ from .geometry import (
     Superconnection,
 )
 from .flows import flow_even, flow_odd
-from .grassmann import GrassmannElement, Parity, PolyMap, parse_key
+from .grassmann import MAX_GENERATORS, GrassmannElement, Parity, PolyMap, parse_key
 from .superfield import Grid, SuperPoint
 from .transport import DEFAULT_STEPS, adiabatic_sweep, sp
 from .verify import run_suite
@@ -154,6 +154,16 @@ def _dims(config: dict) -> Dims:
     d = config["dims"]
     return Dims(int(d["p"]), int(d.get("q", 0)), int(d["N"]),
                 (int(d["rank_even"]), int(d["rank_odd"])))
+
+
+def _check_theta_room(n: int):
+    """Pullbacks along a path with coordinates, and so the verify suite,
+    adjoin theta as generator N + 1; reject an N that leaves it no room
+    before any work."""
+    if n >= MAX_GENERATORS:
+        raise ConfigError(f"N = {n} is too large: transport along a path with coordinates "
+                          f"and verify adjoin theta as generator N + 1, so N <= "
+                          f"{MAX_GENERATORS - 1} (the algebra holds {MAX_GENERATORS} generators)")
 
 
 def _key_indices(key: str, top: int) -> tuple[int, ...]:
@@ -294,6 +304,8 @@ def _vector_field(cfg: dict, dims: Dims) -> SuperVectorField:
 
 def _cmd_transport(config: dict, args) -> dict:
     dims = _dims(config)
+    if dims.p + dims.q:
+        _check_theta_room(dims.n)
     sc = _superconnection(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
@@ -306,6 +318,8 @@ def _cmd_transport(config: dict, args) -> dict:
 
 def _cmd_sweep(config: dict, args) -> dict:
     dims = _dims(config)
+    if dims.p + dims.q:
+        _check_theta_room(dims.n)
     sc = _superconnection(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
@@ -355,7 +369,9 @@ def _cmd_verify(config: dict, args) -> dict:
     cfg = config.get("verify", {})
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     steps = args.steps or int(cfg.get("steps", 150))
-    results = run_suite(seed=seed, steps=steps, n=_dims(config).n)
+    n = _dims(config).n
+    _check_theta_room(n)
+    results = run_suite(seed=seed, steps=steps, n=n)
     for r in results:
         print(r.line())
     passed = sum(r.passed for r in results)

@@ -217,13 +217,14 @@ def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: flo
     """
     m_derivative = fd4_chain(M, grid.h)
     x_derivs = [X]
+    m_at = []  # M^(j)(t), each interpolated once, when first needed
 
     def x_derivative(k: int) -> np.ndarray:
         # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j)
+        m_at.append(interpolate_stack(grid, m_derivative(k - 1), body))
         acc = np.zeros_like(X)
         for j in range(k):
-            Mj = interpolate_stack(grid, m_derivative(j), body)
-            acc = acc + math.comb(k - 1, j) * mul_stacks(n, Mj, x_derivs[k - 1 - j])
+            acc = acc + math.comb(k - 1, j) * mul_stacks(n, m_at[j], x_derivs[k - 1 - j])
         x_derivs.append(acc)
         return acc
 

@@ -217,6 +217,32 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "config" and "config schema violation at ['flow'" in err["message"]
 
+    @pytest.mark.parametrize("command", ["transport", "sweep", "verify"])
+    def test_theta_needs_room_above_n_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        # pullbacks along a path with coordinates adjoin theta as generator
+        # N + 1: at N = 12 transport died mid-assembly with exit 2
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        for name in ("sp", "adiabatic_sweep", "run_suite"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = json.loads((CONFIGS / "default.json").read_text())
+        cfg["dims"]["N"] = 12
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(bad), "--steps", "12"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and "N <= 11" in err["message"]
+
+    def test_point_case_runs_at_twelve_generators(self, tmp_path):
+        # over a point nothing is adjoined, so N = 12 is in range
+        cfg = json.loads((CONFIGS / "point_case.json").read_text())
+        cfg["dims"]["N"] = 12
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert run_cli(["transport", "--config", str(path), "--steps", "4", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["map"]["matrix"]["n"] == 12
+
     def test_numerical_error_exit_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "default.json").read_text())
         cfg["endpoint"] = {"t": 5.0, "theta": 0.0}  # beyond the path window

@@ -1,8 +1,5 @@
 """Curves, superpaths, pullback assembly, forms, vector fields."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -148,9 +145,6 @@ class TestSuperPathSubstitutions:
         assert ok.a[0](0.0).body == 0.0 and ok.a[1](0.0).body == 0.5
 
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
 def _graded_path(n):
     """A path into R^{2|1} with soulful harmonic and polynomial curves."""
     e = [G.generator(n, i) for i in range(1, n + 1)]
@@ -194,14 +188,11 @@ class TestSharedComposition:
                 c_got, c_want = c_got.derivative(), c_want.derivative()
         assert got.t_end == want.t_end
 
-    def test_reversed_lift_composes_in_one_soul_series(self, monkeypatch):
+    def test_reversed_lift_composes_in_one_soul_series(self, monkeypatch, workloads):
         from supertransport import geometry
         from supertransport.grassmann import soul_series
         from supertransport.transport import lift_problem
 
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         path, sc, end = workloads.chart_problem(np.random.default_rng(1))
         rev = lift_problem(path, sc)[0].reversed_through(end)
         times = Grid.over(0.0, end.t.body, 2 * workloads.CHART_STEPS + 1).times()

@@ -228,12 +228,20 @@ def _table_sum(n, a, b, op):
 
 def _factor(rng, kind, bad=None):
     """Random factors of one kind: soulful, top-soul (body and top key only),
-    soul-free (body only) or zero; ``bad = (key, value)`` puts a non-finite
-    value at that key."""
+    soul-free (body only), zero, sparse (a random quarter of the soul keys,
+    and the body half of the time) or e1-multiples (the keys holding e1
+    only, so two of them have no disjoint pair of nonzero keys);
+    ``bad = (key, value)`` puts a non-finite value at that key."""
     def make(shape):
         x = rng.uniform(-1, 1, shape)
         if kind == "zero":
             x[:] = 0.0
+        elif kind == "sparse":
+            keep = rng.random(shape[0]) < 0.25
+            keep[0] = rng.random() < 0.5
+            x[~keep] = 0.0
+        elif kind == "e1-multiples":
+            x[np.arange(shape[0]) % 2 == 0] = 0.0
         elif kind != "soulful":
             x[1:-1 if kind == "top-soul" else None] = 0.0
         if bad is not None:
@@ -301,6 +309,26 @@ def test_soulful_factors_match_the_table_sum(n, rng):
         assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("left, right", [
+    ("sparse", "sparse"), ("sparse", "soulful"), ("soulful", "sparse"),
+    ("e1-multiples", "sparse"), ("sparse", "e1-multiples"), ("top-soul", "sparse")])
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_live_pairs_match_the_table_sum(n, left, right, rng):
+    # from n = 5 on the kernel sums only the pairs of nonzero keys; dropping
+    # zero terms may round a segment sum differently, never by more than this
+    for got, want in _kernel_cases(n, _factor(rng, left), _factor(rng, right), twisted=True):
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+def test_no_disjoint_pair_of_nonzero_keys_gives_exact_zeros(n, rng):
+    # every nonzero key of both factors holds e1: no pair is live but the
+    # bodies', which are zero, so every kernel returns zeros of its shape
+    e1_multiples = _factor(rng, "e1-multiples")
+    for got, want in _kernel_cases(n, e1_multiples, e1_multiples):
+        assert got.shape == want.shape and not np.any(got) and not np.any(want)
+
+
 SPLITS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
@@ -338,16 +366,19 @@ class TestSignTwist:
         assert all(stack_parity(n, p, SPLITS[0], SPLITS[2]) == Parity.EVEN for p in nodes)
 
 
-@pytest.mark.parametrize("partner", ["soulful", "soul-free", "zero"])
+@pytest.mark.parametrize("partner", ["soulful", "soul-free", "zero", "sparse", "e1-multiples"])
 @pytest.mark.parametrize("key", [0, 1], ids=["body", "soul"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_factor_gives_non_finite_product(value, key, partner, rng):
-    # a NaN or inf soul is a soul, and a non-finite body poisons the product
+    # a NaN or inf soul is a soul, and a non-finite body poisons the product;
+    # on live pairs too (n = 5, 8), even when every nonzero key of the
+    # partner holds e1 and so no live soul key of it is disjoint from e1
     bad, other = _factor(rng, "soul-free", (key, value)), _factor(rng, partner)
-    with np.errstate(all="ignore"):
-        products = [got for left, right in [(bad, other), (other, bad)]
-                    for got, _ in _kernel_cases(4, left, right)]
-    assert not any(np.isfinite(got).all() for got in products)
+    for n in (4, 5, 8):
+        with np.errstate(all="ignore"):
+            products = [got for left, right in [(bad, other), (other, bad)]
+                        for got, _ in _kernel_cases(n, left, right)]
+        assert not any(np.isfinite(got).all() for got in products)
 
 
 def test_soul_series_stops_at_first_vanishing_power():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -251,6 +252,28 @@ class TestSoulFreeFactors:
         path, sc, end = soulful_point_case(12)
         tm = sp(path, sc, end, steps=100)
         assert tm.matrix.distance(factorised_point_map(end)) < 1e-5
+
+
+class TestLivePairs:
+    """Products gather only the key pairs of nonzero components, so data on
+    a few generators costs what it spans, whatever N."""
+
+    def test_chart_problem_at_eleven_generators(self, workloads):
+        # the benchmark's Quillen data, odd only on e1..e4: at N = 11 every
+        # product lies in the span of those four and theta, and the maps
+        # are the N = 4 ones embedded, bit for bit
+        maps = {}
+        for n in (4, 11):
+            path, sc, end = workloads.chart_problem(np.random.default_rng(1), n)
+            start = time.process_time()
+            maps[n] = [sp(path, sc, end, steps=20).matrix.comps,
+                       reverse_transport(path, sc, end, steps=20).matrix.comps]
+            cpu = time.process_time() - start
+        assert cpu < 5.0  # N = 11; on all 3**12 pairs per product it took 17 s
+        for small, big in zip(maps[4], maps[11]):
+            embedded = np.zeros_like(big)
+            embedded[:len(small)] = small
+            assert np.any(small[1:]) and np.array_equal(big, embedded)
 
 
 class TestDiagonalFlat:
