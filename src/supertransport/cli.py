@@ -384,7 +384,9 @@ def _cmd_verify(config: dict, args) -> dict:
     return report
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parse_args fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="supertransport",
         description="parallel transport along superpaths: transport, flow, verify, sweep")
@@ -404,7 +406,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="seed for randomized checks (verify)")
         p.add_argument("--tolerance-report", action="store_true",
                        help="print residual/tolerance margins (verify)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config:

@@ -428,17 +428,3 @@ class SuperField:
         n = self.n
         zero = GrassmannElement.zero(n)
         return self.substitute(new_grid, -1.0, zero, zero, zero, -1.0)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": {"t0": self.grid.t0, "h": self.grid.h, "nodes": self.grid.nodes},
-            "n": self.n,
-            "row_split": list(self.row_split),
-            "col_split": list(self.col_split),
-            "a_parity": None if self.a_parity is None else int(self.a_parity),
-            "b_parity": None if self.b_parity is None else int(self.b_parity),
-            "a": [self.a_matrix(k).to_json_dict()["entries"] for k in range(self.grid.nodes)],
-            "b": [self.b_matrix(k).to_json_dict()["entries"] for k in range(self.grid.nodes)],
-        }

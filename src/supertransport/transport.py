@@ -11,12 +11,15 @@ psi = a + theta*b) to
 where eps is the total-parity involution.  The solver marches the
 fundamental matrices of a batch of such equations on one grid together
 with the classical fourth-order scheme; coefficient fields are sampled at
-half-step resolution so every stage value is exact.  Endpoints whose time
-coordinate carries a soul are reached by the terminating Taylor series
-with derivatives generated from the right-hand side.  The march stops at its
-first non-finite state and runs in the sign twist T of graded_mul_stacks, where
-the sign (-1)**(|J| (p_i + p_j)) of a key pair splits per factor: a' = M a has
-M, a on one block split, so T(M o a) = T(M) . T(a) is one plain ring product.
+half-step resolution so every stage value is exact.  Each step is then a
+linear map P_k fixed by the samples, X_{k+1} = P_k X_k, so the march builds
+all step maps at once and multiplies P_{m-1} ... P_0 pairwise in
+ceil(log2 m) levels; the product is checked once for overflow.  Endpoints
+whose time coordinate carries a soul are reached by the terminating Taylor
+series with derivatives generated from the right-hand side.  The march runs in
+the sign twist T of graded_mul_stacks, where the sign (-1)**(|J| (p_i + p_j))
+of a key pair splits per factor: a' = M a has M, a on one block split, so
+T(M o a) = T(M) . T(a) is one plain ring product.
 
 On top of the solver live the transport-map constructors and the path
 operations: gluing, reversal, reparametrization, adiabatic sweeps, and the
@@ -53,6 +56,7 @@ from .geometry import (
     superconnection_coefficient,
 )
 from .grassmann import (
+    MAX_GENERATORS,
     GradedMatrix,
     GrassmannElement,
     Parity,
@@ -108,6 +112,16 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
+def _blocked_mul(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Item-by-item product of (2**n, items, problems, r, r) stacks, items
+    being nodes or steps, over blocks of items from :func:`node_blocks`
+    with entries = problems * r**2."""
+    out = np.empty(a.shape)
+    for blk in node_blocks(n, out.shape[1], math.prod(out.shape[2:])):
+        out[:, blk] = mul_stacks(n, a[:, blk], b[:, blk])
+    return out
+
+
 def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
                            row_split: tuple[int, int], variant: str) -> np.ndarray:
     """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant)
@@ -122,10 +136,8 @@ def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
     rows = split_parities(row_split)
     eps_sign = (1.0 - 2.0 * total_parities(n, row_split, row_split))[:, None, None]
     C, Dm = (sign_twist(n, s.swapaxes(0, 1), rows) for s in (a, b))
-    out = np.empty_like(C)
-    for blk in node_blocks(n, a.shape[0], a[0, 0].size):
-        epsC_C = mul_stacks(n, C[:, blk] * eps_sign, C[:, blk])
-        out[:, blk] = epsC_C - Dm[:, blk] if variant == "D" else Dm[:, blk] - epsC_C
+    epsC_C = _blocked_mul(n, C * eps_sign, C)
+    out = epsC_C - Dm if variant == "D" else Dm - epsC_C
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
@@ -151,8 +163,11 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     Every field is checked as :func:`solve_parallel` checks one, and the
     batch must share the grid, the algebra and the block splits.  The
     fields' stacks gain a problem axis right after the key axis and march
-    in blocks of problems from :func:`node_blocks`; for n >= 9 a block is
-    one problem, so no ring product gathers more than a single march does.
+    in blocks of problems from :func:`node_blocks`.  A block's march is the
+    product of its RK4 step maps (:func:`_step_maps`, :func:`_ordered_product`),
+    whose ring products run over blocks of steps; for n >= 9 both blocks
+    are one long, so no ring product gathers more than one step of one
+    problem.  A non-finite product raises DomainError.
     """
     if variant not in ("D", "Q"):
         raise ValueError("variant must be 'D' or 'Q'")
@@ -180,23 +195,16 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     h = 2.0 * grid.h * (1 if i1 >= i0 else -1)
     direction = 2 if i1 >= i0 else -2
     soul = end.t.soul().comps
+    starts = np.arange(i0, i1, direction)
     maps = np.empty((1 << n, len(fields), r, r))
     for blk in node_blocks(n, len(fields), r * r):
         a = np.stack([f.a for f in fields[blk]], axis=2)
         b = np.stack([f.b for f in fields[blk]], axis=2)
         M = _reduced_matrix_stacks(n, a, b, first.row_split, variant)
-        X = np.zeros((1 << n,) + M.shape[2:])
-        X[0] = np.eye(r)
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in range(i0, i1, direction):
-                M0, Mh, M1 = M[idx], M[idx + direction // 2], M[idx + direction]
-                k1 = mul_stacks(n, M0, X)
-                k2 = mul_stacks(n, Mh, X + (h / 2.0) * k1)
-                k3 = mul_stacks(n, Mh, X + (h / 2.0) * k2)
-                k4 = mul_stacks(n, M1, X + h * k3)
-                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.isfinite(X).all():
-                    raise DomainError("transport map is not finite")
+            X = _ordered_product(n, _step_maps(n, M, starts, direction // 2, h))
+            if not np.isfinite(X).all():
+                raise DomainError("transport map is not finite")
         X = sign_twist(n, X + _taylor_endpoint(n, grid, M, X, body, soul), rows)
         C_end = taylor_stack_at(grid, fd4_chain(a, grid.h), end.t)
         B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
@@ -205,6 +213,46 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
                          stack_parity(n, maps[:, k], first.row_split, first.col_split),
                          check=False)
             for k in range(len(fields))]
+
+
+def _plus_unit(r: int, stack: np.ndarray) -> np.ndarray:
+    """stack + 1 for a stack of r x r matrices, in place: the unit matrix
+    goes to the body key."""
+    stack[0] += np.eye(r)
+    return stack
+
+
+def _step_maps(n: int, M: np.ndarray, starts: np.ndarray, half: int, h: float) -> np.ndarray:
+    """The RK4 step maps P_k, X_{k+1} = P_k X_k, of X' = M X.
+
+    ``M`` is the (nodes, 2**n, problems, r, r) node stack and step k runs
+    from node starts[k] over starts[k] + half to starts[k] + 2 * half.  The
+    stages k_i = A_i X give A_1 = M0, A_2 = Mh (1 + h/2 A_1),
+    A_3 = Mh (1 + h/2 A_2), A_4 = M1 (1 + h A_3), and
+    P = 1 + h/6 (A_1 + 2 A_2 + 2 A_3 + A_4), as (2**n, steps, problems, r, r).
+    """
+    r = M.shape[-1]
+    M0, Mh, M1 = (M[starts + k * half].swapaxes(0, 1) for k in range(3))
+    A2 = _blocked_mul(n, Mh, _plus_unit(r, (h / 2.0) * M0))
+    A3 = _blocked_mul(n, Mh, _plus_unit(r, (h / 2.0) * A2))
+    A4 = _blocked_mul(n, M1, _plus_unit(r, h * A3))
+    return _plus_unit(r, (h / 6.0) * (M0 + 2.0 * A2 + 2.0 * A3 + A4))
+
+
+def _ordered_product(n: int, P: np.ndarray) -> np.ndarray:
+    """P_{m-1} ... P_0 of a (2**n, m, problems, r, r) stack, the unit for m = 0.
+
+    Neighbours multiply pairwise, the later factor on the left, one level
+    per call of :func:`_blocked_mul`; an odd last factor waits for the next
+    level.  So m factors take ceil(log2 m) levels.
+    """
+    if not P.shape[1]:
+        return _plus_unit(P.shape[-1], np.zeros(P.shape[:1] + P.shape[2:]))
+    while P.shape[1] > 1:
+        pairs = P.shape[1] // 2
+        paired = _blocked_mul(n, P[:, 1:2 * pairs:2], P[:, 0:2 * pairs:2])
+        P = np.concatenate([paired, P[:, 2 * pairs:]], axis=1)
+    return P[:, 0]
 
 
 def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: float,
@@ -236,7 +284,16 @@ def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: flo
 # ---------------------------------------------------------------------------
 
 
+def _check_theta_room(path: SuperPath):
+    """Pullbacks along a path with coordinates adjoin theta as generator
+    N + 1; reject an N that leaves it no room before any work."""
+    if path.p + path.q and path.n >= MAX_GENERATORS:
+        raise DimensionError(f"theta would be generator N + 1 = {path.n + 1} along a path with "
+                             f"coordinates, but the algebra holds {MAX_GENERATORS} generators")
+
+
 def _solve_grid(path: SuperPath, end: SuperPoint, steps: int) -> Grid:
+    _check_theta_room(path)
     body = end.t.body
     if body == 0.0:
         # degenerate window: a small symmetric grid so stencils exist
@@ -326,6 +383,7 @@ def reverse_transport(path: SuperPath, sc, end: SuperPoint,
     the odd tangent bundle first (connection + odd endomorphism), where the
     reversal argument applies verbatim; the lifted path is reversed there.
     """
+    _check_theta_room(path)
     if isinstance(sc, Superconnection):
         path, sc = lift_problem(path, sc)
     return ps(path.reversed_through(end), sc, end, steps)

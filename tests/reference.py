@@ -5,9 +5,10 @@ elements as index-tuple dictionaries with permutation-sorted signs, the
 left-regular matrix representation for flattening to plain real linear
 algebra, scipy integrators for reference ODE solves, sympy for
 polynomial derivatives, for odd flows the theta-adjoined defining
-equation in place of the package's route through X^2, and for path
+equation in place of the package's route through X^2, for path
 substitution one composition (one soul series) per curve in place of the
-package's shared table.
+package's shared table, and for the march the step-by-step RK4 loop in
+place of the package's pairwise product of step maps.
 """
 
 from __future__ import annotations
@@ -175,6 +176,34 @@ def transport_oracle(field, end_body: float, variant: str = "D",
     if not sol.success:
         raise RuntimeError(sol.message)
     return sol.y[:, -1].reshape(r * dim, r * dim)
+
+
+def rk4_march_oracle(n: int, M: np.ndarray, i0: int, i1: int, h: float) -> np.ndarray:
+    """The twisted fundamental matrix X of X' = M X from X = 1 at node i0
+    to node i1, one RK4 step over two nodes at a time, with stage products
+    applied to the state.
+
+    ``M`` is the (nodes, 2**n, problems, r, r) node stack of
+    ``transport._reduced_matrix_stacks``; h is the signed step.
+    """
+    from supertransport.errors import DomainError
+    from supertransport.grassmann import mul_stacks
+
+    r = M.shape[-1]
+    direction = 2 if i1 >= i0 else -2
+    X = np.zeros((1 << n,) + M.shape[2:])
+    X[0] = np.eye(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in range(i0, i1, direction):
+            M0, Mh, M1 = M[idx], M[idx + direction // 2], M[idx + direction]
+            k1 = mul_stacks(n, M0, X)
+            k2 = mul_stacks(n, Mh, X + (h / 2.0) * k1)
+            k3 = mul_stacks(n, Mh, X + (h / 2.0) * k2)
+            k4 = mul_stacks(n, M1, X + h * k3)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(X).all():
+                raise DomainError("transport map is not finite")
+    return X
 
 
 def solution_matrix_to_stack(flat: np.ndarray, n: int, r: int) -> np.ndarray:

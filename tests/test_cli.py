@@ -328,6 +328,31 @@ class TestVerify:
         assert [line.split()[1] for line in report[:3]] == ["inf", "inf", "9.00e-01"]
 
 
+class TestParser:
+    def test_consecutive_calls_share_no_argument_state(self, monkeypatch, capsys):
+        # the parser is built once; each call must read as a fresh one
+        results = [CheckResult("exact_pass", 0.0, 0.0, 0), CheckResult("loose", 1e-13, 1e-12, 0)]
+        monkeypatch.setattr(cli, "run_suite", lambda **kwargs: results)
+        calls = [["verify", "--tolerance-report", "--seed", "3"],
+                 ["transport", "--config", str(CONFIGS / "point_case.json"), "--steps", "8"],
+                 ["verify"]]
+
+        def outcome(argv):
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._parser.cache_clear()
+        assert [outcome(argv) for argv in calls] == fresh
+        assert cli._parser.cache_info().misses == 1
+        assert "margin" in fresh[0][1] and "margin" not in fresh[2][1]
+        assert "(seed=3)" in fresh[0][1] and "(seed=0)" in fresh[2][1]
+
+
 class TestSweep:
     def test_sweep_table(self, tmp_path):
         out = tmp_path / "sweep.json"

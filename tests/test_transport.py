@@ -55,7 +55,7 @@ from supertransport.verify import (
     random_superconnection,
 )
 
-from reference import solution_matrix_to_stack, transport_oracle
+from reference import rk4_march_oracle, solution_matrix_to_stack, transport_oracle
 
 G = GrassmannElement
 
@@ -150,8 +150,9 @@ class TestSolver:
         assert 13.0 <= r1 <= 19.0 and 13.0 <= r2 <= 19.0
 
     def test_overflowed_map_is_not_finite(self, monkeypatch):
-        # an overflowed march is reported as such, not as a singular body; it
-        # stops at the first non-finite step, before NumPy warns
+        # an overflowed march is reported as such, not as a singular body; the
+        # product of the step maps is checked before the endpoint series, and
+        # NumPy does not warn
         n = 2
         path, sc = point_case(n, np.array([[0.0, 300.0], [300.0, 0.0]]))
         end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 1))
@@ -274,6 +275,30 @@ class TestLivePairs:
             embedded = np.zeros_like(big)
             embedded[:len(small)] = small
             assert np.any(small[1:]) and np.array_equal(big, embedded)
+
+
+class TestThetaRoom:
+    def test_twelve_generators_along_a_path_rejected_before_any_product(
+            self, workloads, monkeypatch):
+        # theta is adjoined as generator N + 1 along a path with coordinates
+        from supertransport.errors import DimensionError
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1), 12)
+        calls = []
+        ring_product = grassmann._ring_product
+
+        def spy(n, a, b, op):
+            calls.append(n)
+            return ring_product(n, a, b, op)
+
+        monkeypatch.setattr(grassmann, "_ring_product", spy)
+        runs = [lambda: sp(path, sc, end, steps=4),
+                lambda: ps(path, sc.connection, end, steps=4),
+                lambda: reverse_transport(path, sc, end, steps=4),
+                lambda: adiabatic_sweep(path, sc, [1.0], end, steps=4)]
+        for run in runs:
+            with pytest.raises(DimensionError, match=r"^theta would be generator N \+ 1 = 13 "):
+                run()
+        assert calls == []
 
 
 class TestDiagonalFlat:
@@ -591,8 +616,58 @@ class TestBatchedMarch:
             assert same_map(got, want)
 
 
+def tree_and_oracle(fields, body, variant="D"):
+    """The twisted march of a batch to the body time, as the product of its
+    step maps and as the step-by-step oracle loop."""
+    n, grid = fields[0].n, fields[0].grid
+    i0, i1 = grid.index_of(0.0), grid.index_of(body)
+    direction = 2 if i1 >= i0 else -2
+    a, b = (np.stack([getattr(f, s) for f in fields], axis=2) for s in "ab")
+    M = transport._reduced_matrix_stacks(n, a, b, fields[0].row_split, variant)
+    P = transport._step_maps(n, M, np.arange(i0, i1, direction), direction // 2,
+                             direction * grid.h)
+    return transport._ordered_product(n, P), rk4_march_oracle(n, M, i0, i1, direction * grid.h)
+
+
+class TestTreeMarch:
+    """The pairwise product of the RK4 step maps is the step-by-step march."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 33])
+    def test_matches_the_step_loop(self, rng, steps):
+        n = 4
+        sc = random_superconnection(rng, 2, (1, 1))
+        field = superconnection_coefficient(random_path(rng, n, 2),
+                                            sc, Grid.over(0.0, 1.0, 2 * steps + 1))
+        tree, loop = tree_and_oracle([field], 1.0)
+        assert np.any(loop[1:])
+        assert np.abs(tree - loop).max() <= 1e-13 * np.abs(loop).max()
+
+    def test_negative_direction(self, rng):
+        # body < 0 inside the path margin, as recover's probes march
+        n, steps = 3, 9
+        path = SuperPath.line(n, [0.2, -0.1], [1.0, 0.5],
+                              [G.generator(n, 1) * 0.4, G.generator(n, 2) * 0.3], 0.5)
+        path.margin = 0.5
+        sc = random_superconnection(rng, 2, (1, 1))
+        field = superconnection_coefficient(path, sc, Grid.over(-0.3, 0.0, 2 * steps + 1))
+        tree, loop = tree_and_oracle([field], -0.3)
+        assert np.any(loop[1:])
+        assert np.abs(tree - loop).max() <= 1e-13 * np.abs(loop).max()
+
+    def test_sweep_batch_of_eight(self, rng):
+        n, steps = 4, 12
+        lambdas = [2.0 ** -k for k in range(7)]
+        sc = random_superconnection(rng, 2, (1, 1))
+        fields = sweep_fields(random_path(rng, n, 2), sc, lambdas,
+                              Grid.over(0.0, 1.0, 2 * steps + 1), "D")
+        assert len(fields) == 8
+        tree, loop = tree_and_oracle(fields, 1.0)
+        assert np.abs(tree - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
 class TestOneRingProductPerGradedProduct:
-    """A graded product is one ring product, and the march one per stage."""
+    """A graded product is one ring product, and the march's count grows
+    with the depth of its product tree."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -613,19 +688,21 @@ class TestOneRingProductPerGradedProduct:
         grassmann.graded_mul_stacks(n, a, b, rows, rows)
         assert kernel_calls == [n]
 
-    def test_march_makes_four_products_per_step(self, rng, kernel_calls):
+    def test_march_products_grow_by_one_per_doubling(self, rng, kernel_calls):
+        # the step maps take three products and their pairwise product one
+        # per level, ceil(log2 m) for m steps: 20 -> 40 -> 80 adds one each
         from supertransport.transport import _march
         n = 2
         sc = random_superconnection(rng, 2, (1, 1))
         path = random_path(rng, n, 2)
         end = SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3), G.generator(n, 1) * 0.5)
         counts = []
-        for steps in (20, 40):
+        for steps in (20, 40, 80):
             field = superconnection_coefficient(path, sc, Grid.over(0.0, 1.0, 2 * steps + 1))
             kernel_calls.clear()
             _march([field], end, "D")
             counts.append(len(kernel_calls))
-        assert counts[1] - counts[0] == 4 * 20
+        assert np.diff(counts).tolist() == [1, 1]
 
 
 class TestRecover:
