@@ -21,7 +21,6 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     adjoin_theta,
-    node_blocks,
     soul_series,
     split_theta,
 )
@@ -75,27 +74,28 @@ def _check_init(field: SuperVectorField, init: list[GrassmannElement], n: int):
             raise ParityError(f"odd coordinate {i} has an even initial value")
 
 
-def _rhs_even(field: SuperVectorField, state: np.ndarray, n: int) -> np.ndarray:
-    out = field.coefficient_stack(state[:, :, None])[:, :, 0]
-    if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
-        raise DomainError("flow blew up or left the admissible domain")
-    return out
-
-
-def _integrate(rhs, state0: np.ndarray, t_end: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _integrate(field: SuperVectorField, state0: np.ndarray, t_end: float,
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    # unchecked stages: they keep the parities _check_init found on entry
     if steps < 2:
         raise ResolutionError("flow integration needs at least 2 steps")
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        out = np.stack([c._values(y[:, :, None])[:, 0] for c in field.coeffs])
+        if float(np.max(np.abs(out))) > _BLOWUP or not np.all(np.isfinite(out)):
+            raise DomainError("flow blew up or left the admissible domain")
+        return out
+
     h = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     out = np.empty((steps + 1,) + state0.shape)
     out[0] = state0
     y = state0
     for k in range(steps):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = rhs(y)
+        k2 = rhs(y + (h / 2) * k1)
+        k3 = rhs(y + (h / 2) * k2)
+        k4 = rhs(y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = y
     return times, out
@@ -109,7 +109,7 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     n = init[0].n if init else 0
     _check_init(field, init, n)
     state0 = np.stack([x.comps for x in init])
-    times, states = _integrate(lambda t, y: _rhs_even(field, y, n), state0, t_end, steps)
+    times, states = _integrate(field, state0, t_end, steps)
     return Trajectory(times, states, n)
 
 
@@ -134,7 +134,7 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
     if body == 0.0:
         G_end = state0
     else:
-        _, states = _integrate(lambda t, y: _rhs_even(Y, y, n), state0, body, steps)
+        _, states = _integrate(Y, state0, body, steps)
         G_end = states[-1]
 
     soul = end.t.soul().comps
@@ -173,17 +173,13 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     _check_init(field, init, n)
     state0 = np.stack([x.comps for x in init])
     Y = field.squared()
-    times, G_states = _integrate(lambda t, y: _rhs_even(Y, y, n), state0, t_end, steps)
+    times, G_states = _integrate(Y, state0, t_end, steps)
     G = np.moveaxis(G_states, 0, 2)
     Gdot = np.moveaxis(fd4_stack(G_states, times[1] - times[0]), 0, 2)
 
-    res = 0.0
-    for blk in node_blocks(n + 1, len(times)):
-        H = field.coefficient_stack(G[:, :, blk])
-        alpha = adjoin_theta(n, G[:, :, blk].swapaxes(0, 1), H.swapaxes(0, 1)).swapaxes(0, 1)
-        for i, value in enumerate(field.coefficient_stack(alpha)):
-            a_part, b_part = split_theta(n, value)
-            # D(alpha^i) = H^i + theta * dG^i/dt must equal a_i(alpha)
-            res = max(res, float(np.max(np.abs(a_part - H[i]))),
-                      float(np.max(np.abs(b_part - Gdot[i, :, blk]))))
-    return res
+    H = field.coefficient_stack(G).swapaxes(0, 1)
+    alpha = adjoin_theta(n, G.swapaxes(0, 1), H).swapaxes(0, 1)
+    a_part, b_part = split_theta(n, field.coefficient_stack(alpha).swapaxes(0, 1))
+    # D(alpha^i) = H^i + theta * dG^i/dt must equal a_i(alpha)
+    return max(float(np.max(np.abs(a_part - H))),
+               float(np.max(np.abs(b_part - Gdot.swapaxes(0, 1)))))

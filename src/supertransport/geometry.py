@@ -56,7 +56,6 @@ from .grassmann import (
     PolyMap,
     adjoin_theta,
     monomial_table,
-    mul_blocked,
     mul_components,
     node_blocks,
     parities_present,
@@ -384,7 +383,7 @@ class GrassmannPoly:
                 # sum_t c_t x^e_t with the payloads c_t embedded on the left
                 payload = np.zeros((dim, len(f.coeffs), nodes))
                 payload[:1 << lam] = f.coeffs.T[:, :, None]
-                coeff = mul_blocked(n, payload, monomial_table(evens, f.exponents)).sum(axis=1)
+                coeff = mul_components(n, payload, monomial_table(evens, f.exponents)).sum(axis=1)
             zprod = None
             for j in J:
                 zprod = odds[j] if zprod is None else mul_components(n, zprod, odds[j])
@@ -941,8 +940,9 @@ def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
 
     The nodes go in blocks (:func:`~supertransport.grassmann.node_blocks`),
     one call per block: ``coords`` are the block's path coordinates with
-    theta adjoined, and the (2**(n+1), nodes, r, r) stack returned is split
-    into its theta^0 and theta^1 parts.
+    theta adjoined, checked once, and the (2**(n+1), nodes, r, r) stack
+    returned is split into its theta^0 and theta^1 parts.  The blocks bound
+    the temporaries of one call's many ring products.
     """
     n = path.n
     r = rank[0] + rank[1]
@@ -950,8 +950,9 @@ def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
     a = np.empty((grid.nodes, 1 << n, r, r))
     b = np.empty_like(a)
     for blk in node_blocks(n + 1, grid.nodes, r * r):
-        a_blk, b_blk = split_theta(n, value_hat(times[blk],
-                                                _adjoined_coordinates(path, times[blk])))
+        coords = _adjoined_coordinates(path, times[blk])
+        _check_coordinates(path.p, path.q, coords)
+        a_blk, b_blk = split_theta(n, value_hat(times[blk], coords))
         a[blk], b[blk] = a_blk.swapaxes(0, 1), b_blk.swapaxes(0, 1)
     return SuperField(grid, n, a, b, tuple(rank), tuple(rank), *parities)
 
@@ -982,7 +983,7 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
             if not (np.any(b_t) or np.any(adot_t)):
                 continue
             factor = adjoin_theta(n, b_t, theta_sign * adot_t)
-            acc = acc + scale_stack(n + 1, factor, coeff.value_stack(coords), side="right")
+            acc = acc + scale_stack(n + 1, factor, coeff._values(coords), side="right")
         return acc
 
     return _assemble(path, grid, conn.rank, (Parity.ODD, Parity.EVEN), value_hat)
@@ -1004,7 +1005,7 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
     fn = _odd_monomial_function([form], path.p, form.rank)
     total = form.total_parity
     return _assemble(odd_tangent_lift(path), grid, form.rank, (total, total.flipped()),
-                     lambda times, coords: fn.value_stack(coords))
+                     lambda times, coords: fn._values(coords))
 
 
 def superconnection_coefficient(path: SuperPath, sc: Superconnection, grid: Grid,
@@ -1037,7 +1038,7 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
     if endo.coeff_shape != (r, r):
         raise DimensionError("endomorphism shape does not match the rank")
     return _assemble(path, grid, rank, (Parity.ODD, Parity.EVEN),
-                     lambda times, coords: endo.value_stack(coords))
+                     lambda times, coords: endo._values(coords))
 
 
 def odd_tangent_lift(path: SuperPath) -> SuperPath:

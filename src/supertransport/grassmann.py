@@ -31,8 +31,9 @@ Component arrays keep the keys on the leading axis.  A batch axis of grid
 nodes may follow it: (2**n, nodes) for scalars, (2**n, nodes, r, c) for
 matrices.  A factor with fewer axes than its partner (one element times a
 batch, one vector scaling a batch of stacks) is padded on the right, so
-every kernel serves a whole grid in one call; :func:`node_blocks` cuts a
-grid into blocks whose ring-product gathers stay under a fixed size.
+every kernel serves a whole grid in one call.  The kernel bounds its own
+memory: a product whose gathered pairs would pass a fixed size runs over
+chunks of its batch axis, sized by the pairs it actually gathers.
 
 Conventions used everywhere downstream:
 
@@ -195,6 +196,10 @@ def split_theta(n: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # and 1.4 ms.
 _LIVE_PAIRS_FROM = 5
 
+# Largest gathered operand of one ring product, in components (128 KiB of
+# float64); a product over it runs in chunks of its batch axis.
+_GATHER_CAP = 1 << 14
+
 
 def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     # Every ring product: gather the factor components of the key pairs,
@@ -225,9 +230,17 @@ def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
             np.not_equal(K[1:], K[:-1], out=head[1:])
             starts = np.flatnonzero(head)
             keys = K[starts]
-    prod = op(a[I], b[J])
-    prod *= S.reshape((-1,) + (1,) * (prod.ndim - 1))
-    sums = np.add.reduceat(prod, starts, axis=0)
+    # A gather over the cap runs over chunks of the items on axis 1 (nodes,
+    # terms or steps) that fit, one item when one alone does not; a factor
+    # of one item meets every chunk.  A lone (2**n,) or (2**n, r, c) is one.
+    items = 1 if a.ndim in (1, 3) else max(a.shape[1], b.shape[1])
+    size = max(1, _GATHER_CAP * items // max(1, len(I) * (max(a.size, b.size) >> n)))
+    if size >= items:
+        sums = _pair_sums(a, b, op, I, J, S, starts)
+    else:
+        sums = np.concatenate([
+            _pair_sums(*(x[:, lo:lo + size] if x.shape[1] > 1 else x for x in (a, b)),
+                       op, I, J, S, starts) for lo in range(0, items, size)], axis=1)
     if keys is None:
         return sums  # on the full table key K has the pairs (0, K) and (K, 0)
     out = np.zeros((1 << n,) + sums.shape[1:])
@@ -235,9 +248,20 @@ def _ring_product(n: int, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     return out
 
 
+def _pair_sums(a: np.ndarray, b: np.ndarray, op, I, J, S, starts) -> np.ndarray:
+    # the signed products of the pairs (I, J), summed per product key
+    prod = op(a[I], b[J])
+    prod *= S.reshape((-1,) + (1,) * (prod.ndim - 1))
+    return np.add.reduceat(prod, starts, axis=0)
+
+
 def mul_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Product of two scalar component arrays, (2**n,) or (2**n, nodes);
-    a single vector times a node batch multiplies every node."""
+    a single vector times a node batch multiplies every node.  Equal shapes
+    (2**n, terms, nodes) fold to (2**n, items), chunked by (term, node)."""
+    if u.ndim > 2 and u.shape == v.shape:
+        flat = [x.reshape(len(x), -1) for x in (u, v)]
+        return _ring_product(n, *flat, np.multiply).reshape(u.shape)
     ndim = max(u.ndim, v.ndim)
     return _ring_product(n, _keyed(u, ndim), _keyed(v, ndim), np.multiply)
 
@@ -319,33 +343,17 @@ def soul_series(n: int, soul: np.ndarray, derivative: Callable[[int], np.ndarray
     return out
 
 
-# Largest gathered operand of one ring product over a node block, in
-# components (128 KiB of float64).
-_GATHER_CAP = 1 << 14
-
-
 def node_blocks(n: int, nodes: int, entries: int = 1) -> list[slice]:
-    """Consecutive slices covering ``range(nodes)`` for batched ring products.
+    """Consecutive slices covering ``range(nodes)`` for a pipeline of ring
+    products over (2**n, block, r, c) stacks with r * c = ``entries``.
 
-    A ring product over a block of (2**n, block, r, c) stacks with
-    r * c = ``entries`` gathers 3**n * block * entries components per
-    operand.  Blocks are as long as that allows under the fixed cap, and one
-    node long when a single node exceeds it (for every n >= 9), which is the
-    memory of an unbatched product.
+    The kernel bounds each product's gather; these blocks bound the
+    temporaries a pipeline holds at once.  They are sized as if every
+    product gathered the full table, 3**n * block * entries components,
+    under the kernel's cap, so for n >= 9 a block is one node.
     """
     size = max(1, _GATHER_CAP // (3 ** n * entries))
     return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
-
-
-def mul_blocked(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Item-by-item product of two scalar arrays of one shape (2**n, ...),
-    over blocks of items (:func:`node_blocks`); from n = 9 on each ring
-    product gathers one item."""
-    out = np.empty(u.shape)
-    flat = [a.reshape(len(a), -1) for a in (u, v, out)]
-    for blk in node_blocks(n, flat[2].shape[1]):
-        flat[2][:, blk] = mul_components(n, flat[0][:, blk], flat[1][:, blk])
-    return out
 
 
 def monomial_table(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -366,9 +374,9 @@ def monomial_table(xs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
         if e.max(initial=0):
             powers = [one[:, 0], x]
             while len(powers) <= e.max():
-                powers.append(mul_blocked(n, powers[-1], x))
+                powers.append(mul_components(n, powers[-1], x))
             factor = np.stack(powers, axis=1)[:, e]
-            table = factor if table is one else mul_blocked(n, table, factor)
+            table = factor if table is one else mul_components(n, table, factor)
     return table
 
 

@@ -32,7 +32,6 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     graded_mul_stacks,
-    node_blocks,
     scale_stack,
     soul_series,
     split_parities,
@@ -275,21 +274,6 @@ class SuperField:
         return GradedMatrix(self.n, self.b[k], self.row_split, self.col_split,
                             self.b_parity, check=False)
 
-    def a_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
-        """Evaluate the theta^0 part at an even time with nilpotent soul."""
-        return GradedMatrix(self.n, taylor_stack_at(self.grid, self._derivatives["a"], t),
-                            self.row_split, self.col_split, self.a_parity, check=False)
-
-    def b_taylor_at(self, t: GrassmannElement) -> GradedMatrix:
-        return GradedMatrix(self.n, taylor_stack_at(self.grid, self._derivatives["b"], t),
-                            self.row_split, self.col_split, self.b_parity, check=False)
-
-    def value_at(self, point: SuperPoint) -> GradedMatrix:
-        """Evaluate a(t) + theta*b(t) at a point of R^{1|1}(S)."""
-        if point.n != self.n:
-            raise DimensionError("point lives over a different algebra")
-        return self.a_taylor_at(point.t) + self.b_taylor_at(point.t).scale_left(point.theta)
-
     # -- derivations ---------------------------------------------------------
 
     def apply_derivation(self, which: str) -> "SuperField":
@@ -348,13 +332,10 @@ class SuperField:
         eps = 1.0 - 2.0 * total_parities(n, self.row_split, self.col_split)[:, None]
         a, b = self.a.swapaxes(0, 1), self.b.swapaxes(0, 1)
         a2, b2 = other.a.swapaxes(0, 1), other.b.swapaxes(0, 1)
-        out_a = np.empty(a.shape[:3] + a2.shape[3:])
-        out_b = np.empty_like(out_a)
-        for blk in node_blocks(n, self.grid.nodes, max(a[0, 0].size, a2[0, 0].size)):
-            # (a + th b)(a' + th b') = a a' + th (b a' + eps(a) b')
-            out_a[:, blk] = graded_mul_stacks(n, a[:, blk], a2[:, blk], rows, mid)
-            out_b[:, blk] = (graded_mul_stacks(n, b[:, blk], a2[:, blk], rows, mid)
-                             + graded_mul_stacks(n, eps * a[:, blk], b2[:, blk], rows, mid))
+        # (a + th b)(a' + th b') = a a' + th (b a' + eps(a) b')
+        out_a = graded_mul_stacks(n, a, a2, rows, mid)
+        out_b = (graded_mul_stacks(n, b, a2, rows, mid)
+                 + graded_mul_stacks(n, eps * a, b2, rows, mid))
         b_parts = (Parity.combine(self.b_parity, other.a_parity),
                    Parity.combine(self.a_parity, other.b_parity))
         return SuperField(self.grid, n, out_a.swapaxes(0, 1), out_b.swapaxes(0, 1),
@@ -408,14 +389,10 @@ class SuperField:
                         for stack in (self.a, self.b, self._derivatives["a"](1),
                                       self._derivatives["b"](1)))
         taurho = None if rho.norm() == 0.0 and tau.norm() == 0.0 else tau * rho
-        new_a = np.empty_like(a)
-        new_b = np.empty_like(b)
-        for blk in node_blocks(n, new_grid.nodes, a[0, 0].size):
-            new_a[:, blk] = a[:, blk] + scale_stack(n, tau.comps, b[:, blk], side="left")
-            B = scale_stack(n, rho.comps, da[:, blk], side="left") + e * b[:, blk]
-            if taurho is not None:
-                B = B - scale_stack(n, taurho.comps, db[:, blk], side="left")
-            new_b[:, blk] = B
+        new_a = a + scale_stack(n, tau.comps, b, side="left")
+        new_b = scale_stack(n, rho.comps, da, side="left") + e * b
+        if taurho is not None:
+            new_b = new_b - scale_stack(n, taurho.comps, db, side="left")
         return SuperField(new_grid, n, new_a.swapaxes(0, 1), new_b.swapaxes(0, 1),
                           self.row_split, self.col_split, self.a_parity, self.b_parity)
 

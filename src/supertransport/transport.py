@@ -112,16 +112,6 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
-def _blocked_mul(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Item-by-item product of (2**n, items, problems, r, r) stacks, items
-    being nodes or steps, over blocks of items from :func:`node_blocks`
-    with entries = problems * r**2."""
-    out = np.empty(a.shape)
-    for blk in node_blocks(n, out.shape[1], math.prod(out.shape[2:])):
-        out[:, blk] = mul_stacks(n, a[:, blk], b[:, blk])
-    return out
-
-
 def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
                            row_split: tuple[int, int], variant: str) -> np.ndarray:
     """Node stack of eps(C) C - Dm (D variant) or Dm - eps(C) C (Q variant)
@@ -130,13 +120,12 @@ def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
     ``a`` and ``b`` hold C and Dm of a batch of problems as
     (nodes, 2**n, problems, r, r) stacks.  eps(C) C is a graded operator
     product and eps the total-parity involution; rows and columns share one
-    split, so T(eps(C) C) = eps(T(C)) . T(C) is one plain product per block
-    of nodes.
+    split, so T(eps(C) C) = eps(T(C)) . T(C) is one plain product.
     """
     rows = split_parities(row_split)
     eps_sign = (1.0 - 2.0 * total_parities(n, row_split, row_split))[:, None, None]
     C, Dm = (sign_twist(n, s.swapaxes(0, 1), rows) for s in (a, b))
-    epsC_C = _blocked_mul(n, C * eps_sign, C)
+    epsC_C = mul_stacks(n, C * eps_sign, C)
     out = epsC_C - Dm if variant == "D" else Dm - epsC_C
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
@@ -163,11 +152,10 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     Every field is checked as :func:`solve_parallel` checks one, and the
     batch must share the grid, the algebra and the block splits.  The
     fields' stacks gain a problem axis right after the key axis and march
-    in blocks of problems from :func:`node_blocks`.  A block's march is the
-    product of its RK4 step maps (:func:`_step_maps`, :func:`_ordered_product`),
-    whose ring products run over blocks of steps; for n >= 9 both blocks
-    are one long, so no ring product gathers more than one step of one
-    problem.  A non-finite product raises DomainError.
+    in blocks of problems from :func:`node_blocks` (one for n >= 9), which
+    bound the temporaries of a block's march: the product of its RK4 step
+    maps (:func:`_step_maps`, :func:`_ordered_product`), whose ring products
+    take all steps at once.  A non-finite product raises DomainError.
     """
     if variant not in ("D", "Q"):
         raise ValueError("variant must be 'D' or 'Q'")
@@ -233,9 +221,9 @@ def _step_maps(n: int, M: np.ndarray, starts: np.ndarray, half: int, h: float) -
     """
     r = M.shape[-1]
     M0, Mh, M1 = (M[starts + k * half].swapaxes(0, 1) for k in range(3))
-    A2 = _blocked_mul(n, Mh, _plus_unit(r, (h / 2.0) * M0))
-    A3 = _blocked_mul(n, Mh, _plus_unit(r, (h / 2.0) * A2))
-    A4 = _blocked_mul(n, M1, _plus_unit(r, h * A3))
+    A2 = mul_stacks(n, Mh, _plus_unit(r, (h / 2.0) * M0))
+    A3 = mul_stacks(n, Mh, _plus_unit(r, (h / 2.0) * A2))
+    A4 = mul_stacks(n, M1, _plus_unit(r, h * A3))
     return _plus_unit(r, (h / 6.0) * (M0 + 2.0 * A2 + 2.0 * A3 + A4))
 
 
@@ -243,14 +231,14 @@ def _ordered_product(n: int, P: np.ndarray) -> np.ndarray:
     """P_{m-1} ... P_0 of a (2**n, m, problems, r, r) stack, the unit for m = 0.
 
     Neighbours multiply pairwise, the later factor on the left, one level
-    per call of :func:`_blocked_mul`; an odd last factor waits for the next
+    per call of :func:`mul_stacks`; an odd last factor waits for the next
     level.  So m factors take ceil(log2 m) levels.
     """
     if not P.shape[1]:
         return _plus_unit(P.shape[-1], np.zeros(P.shape[:1] + P.shape[2:]))
     while P.shape[1] > 1:
         pairs = P.shape[1] // 2
-        paired = _blocked_mul(n, P[:, 1:2 * pairs:2], P[:, 0:2 * pairs:2])
+        paired = mul_stacks(n, P[:, 1:2 * pairs:2], P[:, 0:2 * pairs:2])
         P = np.concatenate([paired, P[:, 2 * pairs:]], axis=1)
     return P[:, 0]
 

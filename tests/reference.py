@@ -453,3 +453,24 @@ def substituted_oracle(path, g, rho, tau, e, t_end):
         new_a.append(a_g + b_g.scale_left(tau))
         new_b.append(B)
     return SuperPath(path.p, path.q, path.n, new_a, new_b, t_end, path.margin)
+
+
+# -- field values at S-points -------------------------------------------------------
+
+
+def taylor_at(field, which: str, t):
+    """The theta^0 ("a") or theta^1 ("b") part of a SuperField at an even
+    time with nilpotent soul, by the terminating Taylor series over its
+    grid derivatives."""
+    from supertransport.grassmann import GradedMatrix
+    from supertransport.superfield import fd4_chain, taylor_stack_at
+
+    stack = getattr(field, which)
+    parity = field.a_parity if which == "a" else field.b_parity
+    return GradedMatrix(field.n, taylor_stack_at(field.grid, fd4_chain(stack, field.grid.h), t),
+                        field.row_split, field.col_split, parity, check=False)
+
+
+def value_at(field, point):
+    """a(t) + theta*b(t) of a SuperField at a point of R^{1|1}(S)."""
+    return taylor_at(field, "a", point.t) + taylor_at(field, "b", point.t).scale_left(point.theta)

@@ -265,6 +265,21 @@ class TestErrors:
 
 
 class TestFlow:
+    def test_parity_checks_do_not_grow_with_the_steps(self, monkeypatch, capsys):
+        # coordinates are checked where they enter, not at every RK stage
+        from supertransport import geometry
+        present, calls = geometry.parities_present, []
+        monkeypatch.setattr(geometry, "parities_present",
+                            lambda *args: calls.append(1) or present(*args))
+        counts = []
+        for steps in (17, 34, 68):
+            calls.clear()
+            assert run_cli(["flow", "--config", str(CONFIGS / "flow_demo.json"),
+                            "--steps", str(steps)]) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] == counts[2]
+
     def test_odd_flow_value(self, tmp_path, capsys):
         assert run_cli(["flow", "--config", str(CONFIGS / "flow_demo.json")]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -73,6 +73,10 @@ class TestFlowEven:
         Y = SuperVectorField(1, 0, Parity.EVEN, [GrassmannPoly.constant(1, 0, 1.0)])
         with pytest.raises(ParityError):
             flow_even(Y, [G.generator(2, 1)], 1.0, 16)
+        # the initial point is checked on entry only, never at the RK stages
+        for init in ([G.generator(2, 1), G.generator(2, 2)], [G.scalar(2, 0.5), G.scalar(2, 1.0)]):
+            with pytest.raises(ParityError, match="initial value"):
+                flow_odd(X, init, SuperPoint.at(2, 1.0), 16)
 
     def test_blow_up_raises(self):
         X = SuperVectorField(1, 0, Parity.EVEN,

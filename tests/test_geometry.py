@@ -754,9 +754,10 @@ class TestRingEvaluation:
         with pytest.raises(CapabilityError):
             GrassmannPoly(1, 0, {(): twin(PolyMap(1, {(1,): np.ones(4)}))}, lambda_n=2)
 
-    def test_gathers_one_term_at_one_node_from_n9(self, rng, monkeypatch):
-        # every ring product of the evaluator gathers one (term, node) item
-        # per key pair at n = 9, and the values do not depend on the blocks
+    def test_gathers_stay_under_the_cap_from_n9(self, rng, monkeypatch):
+        # at n = 9 the evaluator's products pass the gather cap whole, so the
+        # kernel gathers them in chunks of (term, node) items that fit, and
+        # the values do not depend on the chunks
         from supertransport import grassmann
         n, p, lam, nodes = 9, 2, 2, 3
         coords = _graded_coords(rng, n, p, 0, nodes)
@@ -764,19 +765,20 @@ class TestRingEvaluation:
             (3, 0): rng.uniform(-1, 1, 1 << lam), (1, 2): rng.uniform(-1, 1, 1 << lam),
             (0, 0): rng.uniform(-1, 1, 1 << lam)})}, lambda_n=lam)
         matrix = PolyMap(p, {(2, 1): np.eye(2), (0, 3): np.ones((2, 2))})
-        ring_product = grassmann._ring_product
-        items = []
+        pair_sums, cap = grassmann._pair_sums, grassmann._GATHER_CAP
+        gathers = []
 
-        def recorded(n_, a, b, op):
-            items.append(max(a[0].size, b[0].size))
-            return ring_product(n_, a, b, op)
+        def recorded(a, b, op, I, *rest):
+            gathers.append((len(I) * (max(a.size, b.size) >> n), max(a.shape[1], b.shape[1])))
+            return pair_sums(a, b, op, I, *rest)
 
-        monkeypatch.setattr(grassmann, "_ring_product", recorded)
+        monkeypatch.setattr(grassmann, "_pair_sums", recorded)
         got = family.value_stack(coords), matrix.eval_stack(coords[:p])
-        assert items and max(items) == 1
+        assert gathers and all(size <= cap or items == 1 for size, items in gathers)
+        chunks = len(gathers)
         monkeypatch.setattr(grassmann, "_GATHER_CAP", 1 << 30)
-        items.clear()
+        gathers.clear()
         whole = family.value_stack(coords), matrix.eval_stack(coords[:p])
-        assert max(items) > 1
+        assert len(gathers) < chunks and max(size for size, _ in gathers) > cap
         for g, w in zip(got, whole):
-            assert np.allclose(g, w, rtol=0.0, atol=1e-15)
+            assert np.array_equal(g, w)

@@ -411,11 +411,46 @@ def test_node_blocks_keep_one_gather_under_the_cap():
             assert [i for blk in blocks for i in range(101)[blk]] == list(range(101))
             size = blocks[0].stop - blocks[0].start
             if n >= 10:
-                assert size == 1  # one node per product, as without batching
+                assert size == 1  # one node per pipeline block
             else:
                 assert size == 1 or 3 ** n * size * entries <= _GATHER_CAP
     # the benchmark's chart problem (N = 4 plus theta, rank 1|1) is one block
     assert len(node_blocks(5, 13, 4)) == 1
+
+
+@pytest.mark.parametrize("n, left, right", [(4, "soulful", "soulful"), (6, "sparse", "soulful")],
+                         ids=["full-table", "live-pairs"])
+def test_products_over_the_cap_run_in_chunks_bit_for_bit(n, left, right, monkeypatch):
+    # under a cap of two items per scalar gather, batches run in chunks of
+    # their items (one item for stacks, which pass it alone), a size-1
+    # factor meeting every chunk; the values are those of one gather
+    from supertransport import grassmann
+
+    def cases(bad=None):
+        rng = np.random.default_rng(5)
+        return list(_kernel_cases(n, _factor(rng, left, bad), _factor(rng, right), nodes=7))
+
+    whole = cases()
+    pair_sums, gathers = grassmann._pair_sums, []
+
+    def spy(a, b, op, I, *rest):
+        items = 1 if a.ndim in (1, 3) else max(a.shape[1], b.shape[1])
+        gathers.append((len(I) * (max(a.size, b.size) >> n), items))
+        return pair_sums(a, b, op, I, *rest)
+
+    cap = 2 * 3 ** n
+    monkeypatch.setattr(grassmann, "_GATHER_CAP", cap)
+    monkeypatch.setattr(grassmann, "_pair_sums", spy)
+    chunked = cases()
+    for (got, _), (want, _) in zip(chunked, whole):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert all(size <= cap or items == 1 for size, items in gathers)
+    assert any(size <= cap and items == 2 for size, items in gathers)
+    assert any(size > cap and items == 1 for size, items in gathers)
+    with np.errstate(all="ignore"):
+        for key in (1, 5):
+            poisoned = cases(bad=(key, np.nan))
+            assert not any(np.isfinite(got).all() for got, _ in poisoned)
 
 
 def test_batched_kernels_match_node_by_node(rng):

@@ -117,6 +117,17 @@ class TestSolver:
         with pytest.raises(ParityError):
             solve_parallel(field, SuperPoint.at(n, 1.0))
 
+    def test_wrong_parity_path_coordinate_rejected(self, workloads):
+        # pullback assembly checks the path coordinates once per block of
+        # nodes, no longer once per coefficient, and still rejects them
+        from supertransport.errors import ParityError
+        _, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        n = end.n
+        for a in ([G.generator(n, 1), 0.0], [0.0, G.generator(n, 2) * 0.5]):
+            bad = SuperPath.line(n, a, [0.0, 0.0], [G.zero(n), G.zero(n)], 1.0)
+            with pytest.raises(ParityError, match="has a value of the wrong parity"):
+                sp(bad, sc, end, steps=6)
+
     def test_endpoint_outside_grid(self):
         n = 2
         A0 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -583,9 +594,10 @@ class TestBatchedMarch:
             _march([good, other_grid], end, "D")
 
     def test_large_algebra_marches_one_problem_per_product(self, rng, monkeypatch):
-        # one problem at n = 9 already fills the gather cap, so a batch of
-        # three must split into single problems: no ring product gathers
-        # more than one node of one problem
+        # one step of one problem at n = 9 already passes the gather cap, so
+        # a batch of three must split into single problems, and the kernel
+        # into single steps: no gathered operand holds more than one step of
+        # one problem
         import supertransport.grassmann as grassmann
         from supertransport.superfield import SuperField
         from supertransport.transport import _march
@@ -602,13 +614,13 @@ class TestBatchedMarch:
         single = [solve_parallel(f, end) for f in fields]
 
         gathers = []
-        ring_product = grassmann._ring_product
+        pair_sums = grassmann._pair_sums
 
-        def spy(n, a, b, op):
-            gathers.append(3 ** n * max(a[0].size, b[0].size))
-            return ring_product(n, a, b, op)
+        def spy(a, b, op, I, *rest):
+            gathers.append(len(I) * (max(a.size, b.size) >> n))
+            return pair_sums(a, b, op, I, *rest)
 
-        monkeypatch.setattr(grassmann, "_ring_product", spy)
+        monkeypatch.setattr(grassmann, "_pair_sums", spy)
         batched = _march(fields, end, "D")
         assert 3 ** n * r * r > grassmann._GATHER_CAP
         assert max(gathers) == 3 ** n * r * r
