@@ -74,7 +74,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "p": {"type": "integer", "minimum": 0},
                 "q": {"type": "integer", "minimum": 0},
-                "N": {"type": "integer", "minimum": 1, "maximum": 12},
+                "N": {"type": "integer", "minimum": 1, "maximum": MAX_GENERATORS},
                 "rank_even": {"type": "integer", "minimum": 0},
                 "rank_odd": {"type": "integer", "minimum": 0},
             },
@@ -156,16 +156,6 @@ def _dims(config: dict) -> Dims:
                 (int(d["rank_even"]), int(d["rank_odd"])))
 
 
-def _check_theta_room(n: int):
-    """Pullbacks along a path with coordinates, and so the verify suite,
-    adjoin theta as generator N + 1; reject an N that leaves it no room
-    before any work."""
-    if n >= MAX_GENERATORS:
-        raise ConfigError(f"N = {n} is too large: transport along a path with coordinates "
-                          f"and verify adjoin theta as generator N + 1, so N <= "
-                          f"{MAX_GENERATORS - 1} (the algebra holds {MAX_GENERATORS} generators)")
-
-
 def _key_indices(key: str, top: int) -> tuple[int, ...]:
     """:func:`parse_key` of a Grassmann-monomial or form-component key; a
     malformed key is a configuration error."""
@@ -209,7 +199,10 @@ def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
     return GrassmannPoly(p, q, gp_terms or {(): PolyMap.zero(p, shape)}, rank=rank)
 
 
-def _superconnection(config: dict, dims: Dims) -> Superconnection:
+def _connection_data(config: dict, dims: Dims) -> Connection | Superconnection:
+    """The configured connection, paired with its form part as a
+    Superconnection over an ordinary chart; a chart with odd coordinates
+    (q > 0) takes the bare Connection and no forms."""
     sc_cfg = config.get("superconnection", {})
     conn_cfg = sc_cfg.get("connection")
     if conn_cfg is None:
@@ -229,7 +222,11 @@ def _superconnection(config: dict, dims: Dims) -> Superconnection:
             comps[idx] = poly.terms.get((), PolyMap.zero(dims.p, (sum(dims.rank),) * 2))
         endo_parity = Parity((1 + degree) % 2)
         forms.append(DifferentialForm(degree, dims.p, dims.rank, endo_parity, comps))
-    return Superconnection(conn, tuple(forms))
+    if not dims.q:
+        return Superconnection(conn, tuple(forms))
+    if forms:
+        raise ConfigError("form parts require an ordinary chart (q = 0)")
+    return conn
 
 
 def _path(config: dict, dims: Dims) -> SuperPath:
@@ -304,23 +301,19 @@ def _vector_field(cfg: dict, dims: Dims) -> SuperVectorField:
 
 def _cmd_transport(config: dict, args) -> dict:
     dims = _dims(config)
-    if dims.p + dims.q:
-        _check_theta_room(dims.n)
-    sc = _superconnection(config, dims)
+    data = _connection_data(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
     steps = args.steps or int(config.get("solver", {}).get("steps", DEFAULT_STEPS))
-    if dims.q and sc.forms:
-        raise ConfigError("form parts require an ordinary chart (q = 0)")
-    tm = sp(path, sc.connection if dims.q else sc, end, steps=steps)
+    tm = sp(path, data, end, steps=steps)
     return {"result": "transport", "map": tm.to_json_dict()}
 
 
 def _cmd_sweep(config: dict, args) -> dict:
     dims = _dims(config)
-    if dims.p + dims.q:
-        _check_theta_room(dims.n)
-    sc = _superconnection(config, dims)
+    if dims.q:
+        raise ConfigError("sweep scales a form part, so it needs an ordinary chart (q = 0)")
+    sc = _connection_data(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
     steps = args.steps or int(config.get("solver", {}).get("steps", DEFAULT_STEPS))
@@ -369,9 +362,7 @@ def _cmd_verify(config: dict, args) -> dict:
     cfg = config.get("verify", {})
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     steps = args.steps or int(cfg.get("steps", 150))
-    n = _dims(config).n
-    _check_theta_room(n)
-    results = run_suite(seed=seed, steps=steps, n=n)
+    results = run_suite(seed=seed, steps=steps, n=_dims(config).n)
     for r in results:
         print(r.line())
     passed = sum(r.passed for r in results)

@@ -13,6 +13,9 @@ each key (:func:`grades_of`, :func:`ring_parity_signs`), the block
 parities of graded matrices (:func:`split_parities`, :func:`total_parities`,
 :func:`stack_parity`), and where an extra odd coordinate theta sits when it
 is adjoined as generator n + 1 (:func:`adjoin_theta`, :func:`split_theta`).
+It also owns the one generator limit: an element holds at most
+``MAX_GENERATORS`` generators, checked where it is built, and the product
+tables go one generator higher so that theta always finds its slot.
 Every ring product -- of scalars, of matrix stacks, of a stack by a scalar --
 goes through one kernel over the 3**n pairs of disjoint keys, sorted by
 product key so that each product component is one segment sum.  A soul-free
@@ -92,10 +95,12 @@ def _tables(n: int):
     each product key's group of pairs starts; and the per-key grade array.
     The pairs are built by adding one generator at a time: each pair omits
     it, puts it in I (passing it over every generator of J, all lower), or
-    puts it in J.
+    puts it in J.  Tables exist up to ``MAX_GENERATORS + 1`` generators: the
+    slot above the elements' limit is theta's, adjoined along a path.
     """
-    if not 0 <= n <= MAX_GENERATORS:
-        raise DimensionError(f"generator count must be in [0, {MAX_GENERATORS}], got {n}")
+    # + 1: theta's slot, generator n + 1 of a pullback at n = MAX_GENERATORS
+    if not 0 <= n <= MAX_GENERATORS + 1:
+        raise DimensionError(f"generator count must be in [0, {MAX_GENERATORS + 1}], got {n}")
     I = np.zeros(1, dtype=np.intp)
     J = np.zeros(1, dtype=np.intp)
     S = np.ones(1)
@@ -417,6 +422,8 @@ class GrassmannElement:
     __slots__ = ("n", "comps")
 
     def __init__(self, n: int, comps: np.ndarray):
+        if not 0 <= n <= MAX_GENERATORS:
+            raise DimensionError(f"generator count must be in [0, {MAX_GENERATORS}], got {n}")
         if comps.shape != (1 << n,):
             raise DimensionError(f"expected {1 << n} components, got {comps.shape}")
         comps = np.asarray(comps, dtype=np.float64).copy()

@@ -56,7 +56,6 @@ from .geometry import (
     superconnection_coefficient,
 )
 from .grassmann import (
-    MAX_GENERATORS,
     GradedMatrix,
     GrassmannElement,
     Parity,
@@ -130,20 +129,16 @@ def _reduced_matrix_stacks(n: int, a: np.ndarray, b: np.ndarray,
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
-def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D",
-                   psi0: Sequence[GrassmannElement] | None = None):
-    """Parallel section value (or fundamental map) at an endpoint.
+def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D") -> GradedMatrix:
+    """Fundamental map of the parallel-section equation at an endpoint.
 
     The march runs from time 0 to body(end.t) on the field's grid, stepping
     two grid nodes at a time so that stage values are exact node samples;
     both times must therefore sit on even node offsets.  Returns a
-    GradedMatrix mapping initial values to values at the endpoint, or the
-    transported vector when ``psi0`` is given.
+    GradedMatrix mapping initial values to values at the endpoint; its
+    ``apply`` transports a vector.
     """
-    matrix, = _march([field], end, variant)
-    if psi0 is not None:
-        return matrix.apply(psi0)
-    return matrix
+    return _march([field], end, variant)[0]
 
 
 def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[GradedMatrix]:
@@ -272,16 +267,7 @@ def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: flo
 # ---------------------------------------------------------------------------
 
 
-def _check_theta_room(path: SuperPath):
-    """Pullbacks along a path with coordinates adjoin theta as generator
-    N + 1; reject an N that leaves it no room before any work."""
-    if path.p + path.q and path.n >= MAX_GENERATORS:
-        raise DimensionError(f"theta would be generator N + 1 = {path.n + 1} along a path with "
-                             f"coordinates, but the algebra holds {MAX_GENERATORS} generators")
-
-
 def _solve_grid(path: SuperPath, end: SuperPoint, steps: int) -> Grid:
-    _check_theta_room(path)
     body = end.t.body
     if body == 0.0:
         # degenerate window: a small symmetric grid so stencils exist
@@ -371,7 +357,6 @@ def reverse_transport(path: SuperPath, sc, end: SuperPoint,
     the odd tangent bundle first (connection + odd endomorphism), where the
     reversal argument applies verbatim; the lifted path is reversed there.
     """
-    _check_theta_room(path)
     if isinstance(sc, Superconnection):
         path, sc = lift_problem(path, sc)
     return ps(path.reversed_through(end), sc, end, steps)

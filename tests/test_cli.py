@@ -44,6 +44,20 @@ def _circle(plane):
                                         "omega": 1.0, "eta": [0.0, 0.0], "plane": plane})
 
 
+# R^{1|1}, rank 1|1: an even coefficient for dx, an off-diagonal one for dz
+ODD_CHART = {
+    "schema": 1,
+    "dims": {"p": 1, "q": 1, "N": 3, "rank_even": 1, "rank_odd": 1},
+    "superconnection": {"connection": [
+        [{"exponents": [0], "matrix": [[0.2, 0.0], [0.0, -0.1]]}],
+        [{"exponents": [0], "matrix": [[0.0, 0.4], [0.5, 0.0]]}],
+    ]},
+    "path": {"kind": "line", "start": [0.1, {"2": 0.3}], "velocity": [0.8, {"3": 0.2}],
+             "eta": [{"1": 0.5}, 0.6], "t_end": 1.0},
+    "endpoint": {"t": 1.0, "theta": {"1": 0.7}},
+}
+
+
 class TestTransport:
     def test_point_case_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "map.json"
@@ -72,6 +86,29 @@ class TestTransport:
         assert run_cli(["transport", "--config", str(path), "--out", str(out)]) == 0
         tm = TransportMap.from_json_dict(json.loads(out.read_text())["map"])
         assert tm.matrix.distance(GradedMatrix.identity(2, (1, 1))) == 0.0
+
+    def test_chart_with_odd_coordinates_matches_library(self, tmp_path):
+        # the CLI wrapped every connection in a Superconnection, which takes
+        # ordinary charts only, so any q > 0 exited 2
+        from supertransport.geometry import Connection, GrassmannPoly, SuperPath
+        from supertransport.grassmann import PolyMap
+        from supertransport.superfield import SuperPoint
+        from supertransport.transport import sp
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ODD_CHART))
+        out = tmp_path / "map.json"
+        assert run_cli(["transport", "--config", str(path), "--steps", "10", "--out", str(out)]) == 0
+        got = TransportMap.from_json_dict(json.loads(out.read_text())["map"])
+        n, rank, G = 3, (1, 1), GrassmannElement
+        conn = Connection(1, 1, rank, [
+            GrassmannPoly(1, 1, {(): PolyMap.constant(1, np.array(K))}, rank=rank)
+            for K in ([[0.2, 0.0], [0.0, -0.1]], [[0.0, 0.4], [0.5, 0.0]])])
+        line = SuperPath.line(n, [G.scalar(n, 0.1), G.monomial(n, (2,), 0.3)],
+                              [G.scalar(n, 0.8), G.monomial(n, (3,), 0.2)],
+                              [G.monomial(n, (1,), 0.5), G.scalar(n, 0.6)], 1.0, p=1, q=1)
+        end = SuperPoint(G.one(n), G.monomial(n, (1,), 0.7))
+        want = sp(line, conn, end, steps=10)
+        assert np.array_equal(got.matrix.comps, want.matrix.comps)
 
     def test_round_trip_bit_exact(self, tmp_path):
         out = tmp_path / "map.json"
@@ -219,19 +256,50 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["transport", "sweep", "verify"])
     def test_theta_needs_room_above_n_exit_1(self, tmp_path, capsys, monkeypatch, command):
-        # pullbacks along a path with coordinates adjoin theta as generator
-        # N + 1: at N = 12 transport died mid-assembly with exit 2
-        def no_work(*args, **kwargs):
-            raise AssertionError("the run started")
+        # pullbacks along a path with coordinates, and so verify, adjoin theta
+        # as generator N + 1; the tables keep that slot above the schema's
+        # N <= 12, so N = 12 runs and N = 13 is rejected before any work
+        class Reached(Exception):
+            pass
+
+        reached = []
+
+        def record(*args, **kwargs):
+            reached.append(kwargs["n"] if command == "verify" else args[0].n)
+            raise Reached
         for name in ("sp", "adiabatic_sweep", "run_suite"):
-            monkeypatch.setattr(cli, name, no_work)
+            monkeypatch.setattr(cli, name, record)
         cfg = json.loads((CONFIGS / "default.json").read_text())
         cfg["dims"]["N"] = 12
-        bad = tmp_path / "cfg.json"
-        bad.write_text(json.dumps(cfg))
-        assert run_cli([command, "--config", str(bad), "--steps", "12"]) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(Reached):
+            run_cli([command, "--config", str(path), "--steps", "12"])
+        assert reached == [12]
+        cfg["dims"]["N"] = 13
+        path.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(path), "--steps", "12"]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "config" and "N <= 11" in err["message"]
+        assert err == {"error": "config", "message": "config schema violation at "
+                       "['dims', 'N']: 13 is greater than the maximum of 12"}
+        assert reached == [12]
+
+    def test_schema_states_the_generator_limit(self):
+        from supertransport.grassmann import MAX_GENERATORS
+        assert cli.CONFIG_SCHEMA["properties"]["dims"]["properties"]["N"]["maximum"] == MAX_GENERATORS
+
+    @pytest.mark.parametrize("command", ["transport", "sweep"])
+    def test_form_parts_need_an_ordinary_chart_exit_1(self, tmp_path, capsys, command):
+        # a form part needs an ordinary chart, and sweep scales the form part
+        cfg = json.loads(json.dumps(ODD_CHART))
+        if command == "transport":
+            cfg["superconnection"]["forms"] = [{"degree": 0, "components": {"": [
+                {"exponents": [0], "matrix": [[0.0, 0.4], [0.5, 0.0]]}]}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(path), "--steps", "8"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and "ordinary chart (q = 0)" in err["message"]
 
     def test_point_case_runs_at_twelve_generators(self, tmp_path):
         # over a point nothing is adjoined, so N = 12 is in range

@@ -79,6 +79,12 @@ class TestScalarAlgebra:
         with pytest.raises(DimensionError):
             GrassmannElement.one(2) * GrassmannElement.one(3)
 
+    def test_generator_limit_checked_where_elements_are_built(self):
+        # the one user limit; the tables keep generator 13 for theta only
+        with pytest.raises(DimensionError, match=r"^generator count must be in \[0, 12\], got 13$"):
+            GrassmannElement(13, np.zeros(1 << 13))
+        assert GrassmannElement.one(12).n == 12 and len(_tables(13)[0]) == 3 ** 13
+
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

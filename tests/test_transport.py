@@ -270,30 +270,38 @@ class TestLivePairs:
     """Products gather only the key pairs of nonzero components, so data on
     a few generators costs what it spans, whatever N."""
 
-    def test_chart_problem_at_eleven_generators(self, workloads):
-        # the benchmark's Quillen data, odd only on e1..e4: at N = 11 every
+    @staticmethod
+    def _assert_embedded(workloads, n, cpu_bound):
+        # the benchmark's Quillen data, odd only on e1..e4: at N = n every
         # product lies in the span of those four and theta, and the maps
         # are the N = 4 ones embedded, bit for bit
         maps = {}
-        for n in (4, 11):
-            path, sc, end = workloads.chart_problem(np.random.default_rng(1), n)
+        for size in (4, n):
+            path, sc, end = workloads.chart_problem(np.random.default_rng(1), size)
             start = time.process_time()
-            maps[n] = [sp(path, sc, end, steps=20).matrix.comps,
-                       reverse_transport(path, sc, end, steps=20).matrix.comps]
+            maps[size] = [sp(path, sc, end, steps=20).matrix.comps,
+                          reverse_transport(path, sc, end, steps=20).matrix.comps]
             cpu = time.process_time() - start
-        assert cpu < 5.0  # N = 11; on all 3**12 pairs per product it took 17 s
-        for small, big in zip(maps[4], maps[11]):
+        assert cpu < cpu_bound
+        for small, big in zip(maps[4], maps[n]):
             embedded = np.zeros_like(big)
             embedded[:len(small)] = small
             assert np.any(small[1:]) and np.array_equal(big, embedded)
 
+    def test_chart_problem_at_eleven_generators(self, workloads):
+        self._assert_embedded(workloads, 11, 5.0)  # on all 3**12 pairs per product it took 17 s
+
+    def test_chart_problem_at_twelve_generators(self, workloads):
+        # theta is generator 13 here, the slot the tables keep above the limit
+        self._assert_embedded(workloads, 12, 8.0)
+
 
 class TestThetaRoom:
-    def test_twelve_generators_along_a_path_rejected_before_any_product(
+    def test_thirteen_generators_rejected_while_the_data_is_built(
             self, workloads, monkeypatch):
-        # theta is adjoined as generator N + 1 along a path with coordinates
+        # the one generator limit is checked where elements are built, so
+        # no path or endpoint past it reaches a transport
         from supertransport.errors import DimensionError
-        path, sc, end = workloads.chart_problem(np.random.default_rng(1), 12)
         calls = []
         ring_product = grassmann._ring_product
 
@@ -302,13 +310,8 @@ class TestThetaRoom:
             return ring_product(n, a, b, op)
 
         monkeypatch.setattr(grassmann, "_ring_product", spy)
-        runs = [lambda: sp(path, sc, end, steps=4),
-                lambda: ps(path, sc.connection, end, steps=4),
-                lambda: reverse_transport(path, sc, end, steps=4),
-                lambda: adiabatic_sweep(path, sc, [1.0], end, steps=4)]
-        for run in runs:
-            with pytest.raises(DimensionError, match=r"^theta would be generator N \+ 1 = 13 "):
-                run()
+        with pytest.raises(DimensionError, match=r"^generator count must be in \[0, 12\], got 13$"):
+            workloads.chart_problem(np.random.default_rng(1), 13)
         assert calls == []
 
 
