@@ -24,9 +24,9 @@ result; `connection_coefficient`, `endomorphism_term` and `lift_pullback`
 are each one call to it.  Everything on that route is batched over grid
 nodes: curves sample arrays of times, coordinates and values carry a node
 axis right after the key axis, and the assembler makes one call per block
-of nodes rather than one per node.  `lift_pullback` takes the route
-through the odd tangent bundle R^{p|p}: the form becomes the odd-monomial
-function dx^I -> z^I, evaluated along `odd_tangent_lift` of the path.
+of nodes rather than one per node.  Quillen data takes one such call on the
+odd tangent bundle R^{p|p}: along `odd_tangent_lift` of the path, with the
+form as the odd-monomial endomorphism dx^I -> z^I (`odd_tangent_data`).
 
 Composition with an inner curve g (`Curve.compose`, substituted paths) goes
 through one shared table: one soul series gives the values and first
@@ -43,7 +43,7 @@ so all of these objects may be shared between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -892,11 +892,12 @@ class Superconnection:
 
     The form part must not contain degree 1 (that slot is the connection) and
     every summand has odd total parity: a k-form with endomorphism parity
-    (1 + k) mod 2.
+    (1 + k) mod 2.  ``odd_tangent`` keeps :func:`odd_tangent_data`.
     """
 
     connection: Connection
     forms: tuple[DifferentialForm, ...] = ()
+    odd_tangent: tuple[Connection, GrassmannPoly] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.connection.q != 0:
@@ -909,6 +910,7 @@ class Superconnection:
                 raise ParityError("form part must have odd total parity")
             if w.p != self.connection.p or w.rank != self.connection.rank:
                 raise DimensionError("form part lives on a different chart or rank")
+        object.__setattr__(self, "odd_tangent", odd_tangent_data(self))
 
     @property
     def p(self) -> int:
@@ -957,20 +959,23 @@ def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
     return SuperField(grid, n, a, b, tuple(rank), tuple(rank), *parities)
 
 
-def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
-                           variant: str = "D") -> SuperField:
+def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid, variant: str = "D",
+                           endomorphism: GrassmannPoly | None = None) -> SuperField:
     """The End-valued field obtained by contracting the pulled-back
     connection form with D (or Q) along the path.
 
     Per coordinate the differential contributes b_i(t) + theta*a_i'(t) for D
     and b_i(t) - theta*a_i'(t) for Q; the coefficient is evaluated at the
     full theta-expanded coordinates.  All signs are produced by Grassmann
-    multiplication with theta adjoined as one extra generator.
+    multiplication with theta adjoined as one extra generator.  An odd
+    ``endomorphism`` on the chart is subtracted (D) or added (Q) in the pass.
     """
     if (path.p, path.q) != (conn.p, conn.q):
         raise DimensionError("path and connection targets differ")
     if variant not in ("D", "Q"):
         raise ValueError("variant must be 'D' or 'Q'")
+    if endomorphism is not None:
+        _check_endomorphism(endomorphism, path, conn.rank)
     n = path.n
     theta_sign = 1.0 if variant == "D" else -1.0
     r = conn.rank[0] + conn.rank[1]
@@ -980,10 +985,12 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid,
         acc = np.zeros((2 << n, len(times), r, r))
         for coeff, coord, adot in zip(conn.coeffs, coords, adots):
             b_t, adot_t = split_theta(n, coord)[1], adot.sample(times)
-            if not (np.any(b_t) or np.any(adot_t)):
+            if not coeff.terms or not (np.any(b_t) or np.any(adot_t)):
                 continue
             factor = adjoin_theta(n, b_t, theta_sign * adot_t)
             acc = acc + scale_stack(n + 1, factor, coeff._values(coords), side="right")
+        if endomorphism is not None:
+            acc = acc - theta_sign * endomorphism._values(coords)
         return acc
 
     return _assemble(path, grid, conn.rank, (Parity.ODD, Parity.EVEN), value_hat)
@@ -1010,12 +1017,12 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
 
 def superconnection_coefficient(path: SuperPath, sc: Superconnection, grid: Grid,
                                 variant: str = "D") -> SuperField:
-    """Coefficient field of the parallel-section equation along the path.
+    """Coefficient field of the parallel-section equation, by the direct formula.
 
     D-variant: (pullback of the connection contracted with D) minus the
     lifted form part; Q-variant: the Q-contraction plus the lifted form part
     (the relative sign is what makes reversed transport invert the forward
-    one).
+    one).  Transport takes one pass on the lift; this checks that route.
     """
     field = connection_coefficient(path, sc.connection, grid, variant)
     sign = -1.0 if variant == "D" else 1.0
@@ -1028,17 +1035,20 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
                       rank: tuple[int, int]) -> SuperField:
     """The field obtained by evaluating an End-valued function along the path.
 
-    Used for transport data of the form (connection, odd endomorphism) on a
-    supermanifold target; theta enters through the coordinate expansions and
-    is split off by adjoining it as one extra generator.
+    The sweep scales this field of the lifted form part by sqrt(lambda);
+    theta enters through the coordinate expansions and is split off by
+    adjoining it as one extra generator.
     """
-    if (endo.p, endo.q) != (path.p, path.q):
-        raise DimensionError("endomorphism lives on a different chart")
-    r = rank[0] + rank[1]
-    if endo.coeff_shape != (r, r):
-        raise DimensionError("endomorphism shape does not match the rank")
+    _check_endomorphism(endo, path, rank)
     return _assemble(path, grid, rank, (Parity.ODD, Parity.EVEN),
                      lambda times, coords: endo._values(coords))
+
+
+def _check_endomorphism(endo: GrassmannPoly, chart, rank: tuple[int, int]):
+    if (endo.p, endo.q) != (chart.p, chart.q):
+        raise DimensionError("endomorphism lives on a different chart")
+    if endo.coeff_shape != (rank[0] + rank[1],) * 2:
+        raise DimensionError("endomorphism shape does not match the rank")
 
 
 def odd_tangent_lift(path: SuperPath) -> SuperPath:

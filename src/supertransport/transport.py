@@ -48,12 +48,11 @@ from .geometry import (
     GrassmannPoly,
     SuperPath,
     Superconnection,
+    _check_block_parity,
+    _check_endomorphism,
     connection_coefficient,
     endomorphism_term,
-    lift_pullback,
-    odd_tangent_data,
     odd_tangent_lift,
-    superconnection_coefficient,
 )
 from .grassmann import (
     GradedMatrix,
@@ -281,31 +280,36 @@ def _solve_grid(path: SuperPath, end: SuperPoint, steps: int) -> Grid:
 
 @dataclass(frozen=True)
 class TransportData:
-    """Solver-level transport data on an R^{p|q} target: a connection plus
-    an optional odd endomorphism-valued function (entering the parallel
-    equation with a minus sign in the D variant, plus in the Q variant)."""
+    """Solver-level transport data on an R^{p|q} target: a connection plus an
+    optional odd endomorphism-valued function (subtracted in the D variant,
+    added in Q) whose z^J coefficients have block parity (1 + |J|) mod 2."""
 
     connection: Connection
     endomorphism: GrassmannPoly | None = None
+
+    def __post_init__(self):
+        if self.endomorphism is not None:
+            _check_endomorphism(self.endomorphism, self.connection, self.rank)
+            for J, f in self.endomorphism.terms.items():
+                if hasattr(f, "coeffs"):  # a smooth oracle has no coefficients to check
+                    _check_block_parity(f.coeffs, self.rank, Parity((1 + len(J)) % 2))
 
     @property
     def rank(self) -> tuple[int, int]:
         return self.connection.rank
 
 
-def _coefficient_field(path: SuperPath, data, grid: Grid, variant: str) -> SuperField:
-    sign = -1.0 if variant == "D" else 1.0
-    if isinstance(data, Connection):
-        return connection_coefficient(path, data, grid, variant)
-    if isinstance(data, TransportData):
-        field = connection_coefficient(path, data.connection, grid, variant)
-        if data.endomorphism is not None:
-            field = field + endomorphism_term(path, data.endomorphism, grid,
-                                              data.rank).scaled(sign)
-        return field
+def _transport(path: SuperPath, data, end: SuperPoint, steps: int, variant: str) -> TransportMap:
+    """Transport from one `connection_coefficient` pass; Quillen data on its lift."""
     if isinstance(data, Superconnection):
-        return superconnection_coefficient(path, data, grid, variant)
-    raise TypeError(f"unsupported transport data {type(data).__name__}")
+        path, data = lift_problem(path, data)
+    elif isinstance(data, Connection):
+        data = TransportData(data)
+    elif not isinstance(data, TransportData):
+        raise TypeError(f"unsupported transport data {type(data).__name__}")
+    grid = _solve_grid(path, end, steps)
+    field = connection_coefficient(path, data.connection, grid, variant, data.endomorphism)
+    return TransportMap(solve_parallel(field, end, variant), end)
 
 
 def sp(path: SuperPath, sc, end: SuperPoint, steps: int = DEFAULT_STEPS) -> TransportMap:
@@ -313,11 +317,9 @@ def sp(path: SuperPath, sc, end: SuperPoint, steps: int = DEFAULT_STEPS) -> Tran
 
     ``sc`` may be a plain Connection (supermanifold targets allowed), a
     Superconnection over an ordinary target, or solver-level TransportData.
+    Quillen data runs along the odd-tangent lift (:func:`lift_problem`).
     """
-    grid = _solve_grid(path, end, steps)
-    field = _coefficient_field(path, sc, grid, "D")
-    matrix = solve_parallel(field, end, "D")
-    return TransportMap(matrix, end)
+    return _transport(path, sc, end, steps, "D")
 
 
 def ps(path: SuperPath, sc, end: SuperPoint, steps: int = DEFAULT_STEPS) -> TransportMap:
@@ -325,28 +327,25 @@ def ps(path: SuperPath, sc, end: SuperPoint, steps: int = DEFAULT_STEPS) -> Tran
 
     Accepts a Connection or TransportData; applied to the reversal of a path
     it produces the inverse of the forward transport.  For Quillen data use
-    :func:`reverse_transport`, which moves to the odd tangent bundle where
-    the form part becomes an endomorphism.
+    :func:`reverse_transport`, which runs on the odd-tangent lift.
     """
     if isinstance(sc, Superconnection):
         raise TypeError("Q transport of Quillen data runs on the odd tangent "
                         "bundle; use reverse_transport")
-    grid = _solve_grid(path, end, steps)
-    field = _coefficient_field(path, sc, grid, "Q")
-    matrix = solve_parallel(field, end, "Q")
-    return TransportMap(matrix, end)
+    return _transport(path, sc, end, steps, "Q")
 
 
 def lift_problem(path: SuperPath, sc: Superconnection) -> tuple[SuperPath, TransportData]:
     """The odd-tangent-bundle version of a Quillen transport problem.
 
-    Returns the lifted path into R^{p|p} together with the pulled-back
-    connection and the form part packaged as an odd endomorphism.  Transport
-    along the lift coincides with the direct transport; path operations that
-    substitute the R^{1|1} argument (gluing, reversal) are performed on the
-    lift, where the composition theorems apply exactly.
+    Returns the lifted path into R^{p|p} with the pulled-back connection and
+    the form part as an odd endomorphism (``sc.odd_tangent``).  Quillen data
+    is transported on the lift, and substitutions of the R^{1|1} argument
+    (gluing, reversal) act there, where the composition theorems apply exactly.
     """
-    return odd_tangent_lift(path), TransportData(*odd_tangent_data(sc))
+    if not isinstance(sc, Superconnection):
+        raise TypeError(f"only Quillen data lifts, not {type(sc).__name__}")
+    return odd_tangent_lift(path), TransportData(*sc.odd_tangent)
 
 
 def reverse_transport(path: SuperPath, sc, end: SuperPoint,
@@ -430,28 +429,19 @@ def adiabatic_sweep(path: SuperPath, sc: Superconnection, lambdas: Sequence[floa
                     end: SuperPoint, steps: int = DEFAULT_STEPS) -> tuple[list[SweepEntry], TransportMap]:
     """Transport with the form part scaled by sqrt(lambda), for each lambda.
 
-    Returns the sweep entries (in the given order) and the plain-connection
-    limit map the distances refer to.
+    Each lambda marches conn - sqrt(lambda) endo, both fields assembled once
+    on the lift; returns the entries (in order) and the limit map of conn.
     """
     for lam in lambdas:
         if not 0.0 < lam < math.inf:
             raise DomainError("sweep parameters must be positive and finite")
+    lifted, data = lift_problem(path, sc)
     grid = _solve_grid(path, end, steps)
-    conn_field = connection_coefficient(path, sc.connection, grid, "D")
-    lift_fields = [lift_pullback(path, w, grid) for w in sc.forms]
-    fields = [conn_field]
-    for lam in lambdas:
-        field = conn_field
-        for lf in lift_fields:
-            field = field + lf.scaled(-math.sqrt(lam))
-        fields.append(field)
-    limit_matrix, *matrices = _march(fields, end, "D")
-    limit = TransportMap(limit_matrix, end)
-    entries = []
-    for lam, matrix in zip(lambdas, matrices):
-        entry = TransportMap(matrix, end)
-        entries.append(SweepEntry(lam, entry, entry.distance(limit)))
-    return entries, limit
+    conn_field = connection_coefficient(lifted, data.connection, grid, "D")
+    endo_field = endomorphism_term(lifted, data.endomorphism, grid, data.rank)
+    fields = [conn_field] + [conn_field + endo_field.scaled(-math.sqrt(lam)) for lam in lambdas]
+    limit, *maps = (TransportMap(matrix, end) for matrix in _march(fields, end, "D"))
+    return [SweepEntry(lam, m, m.distance(limit)) for lam, m in zip(lambdas, maps)], limit
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from supertransport.geometry import (
     Connection,
     Curve,
     DifferentialForm,
+    GrassmannPoly,
     SuperPath,
     Superconnection,
     connection_coefficient,
@@ -35,6 +36,7 @@ from supertransport.grassmann import (
 )
 from supertransport.superfield import Grid, SuperPoint
 from supertransport.transport import (
+    TransportData,
     TransportMap,
     adiabatic_sweep,
     glue,
@@ -511,7 +513,7 @@ class TestAdiabatic:
             raise AssertionError("a field was assembled")
 
         monkeypatch.setattr(transport, "connection_coefficient", assemble)
-        monkeypatch.setattr(transport, "lift_pullback", assemble)
+        monkeypatch.setattr(transport, "endomorphism_term", assemble)
         n = 2
         sc = random_superconnection(rng, 2, (1, 1))
         path = random_path(rng, n, 2)
@@ -794,3 +796,121 @@ class TestNaturality:
         before = sp(path.mapped(hom), conn, end_m, steps=200)
         after = hom.apply_matrix(sp(path, conn, end, steps=200).matrix)
         assert before.matrix.distance(after) < 1e-10
+
+
+def chart_or_random_problem(workloads, case):
+    """chart_problem at seeds 1-4, or a random superconnection and path at n = 2-5."""
+    kind, k = case
+    if kind == "chart":
+        return workloads.chart_problem(np.random.default_rng(k))[:2]
+    rng = np.random.default_rng(100 + k)
+    return random_path(rng, k, 2), random_superconnection(rng, 2, (1, 1))
+
+
+class TestOneRoute:
+    """Every transport of Quillen data runs on the odd-tangent lift, and every
+    coefficient field is one assembly pass."""
+
+    @staticmethod
+    def assembly_spy(monkeypatch):
+        from supertransport import geometry
+        calls = []
+        assemble = geometry._assemble
+        monkeypatch.setattr(geometry, "_assemble",
+                            lambda *args: calls.append(args[0]) or assemble(*args))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["connection", "transport_data", "superconnection"])
+    def test_one_assembly_per_transport(self, workloads, monkeypatch, kind):
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        if kind == "connection":
+            data = sc.connection
+        elif kind == "transport_data":
+            path, data = lift_problem(path, sc)
+        else:
+            data = sc
+        calls = self.assembly_spy(monkeypatch)
+        ops = [sp, reverse_transport] + ([ps] if kind != "superconnection" else [])
+        for op in ops:
+            del calls[:]
+            op(path, data, end, steps=6)
+            assert len(calls) == 1, op.__name__
+
+    @pytest.mark.parametrize("forms", [1, 2])
+    def test_two_assemblies_per_sweep(self, workloads, monkeypatch, forms):
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        sc = Superconnection(sc.connection, sc.forms[:forms])
+        calls = self.assembly_spy(monkeypatch)
+        adiabatic_sweep(path, sc, [1.0, 0.5, 0.25], end, steps=6)
+        assert len(calls) == 2 and all((c.p, c.q) == (2, 2) for c in calls)
+
+    @pytest.mark.parametrize("case", [("chart", s) for s in range(1, 5)]
+                             + [("random", n) for n in range(2, 6)], ids=str)
+    def test_lifted_field_is_the_direct_formula(self, workloads, case):
+        path, sc = chart_or_random_problem(workloads, case)
+        lifted, data = lift_problem(path, sc)
+        grid = Grid.over(0.0, 1.0, 13)
+        got = connection_coefficient(lifted, data.connection, grid, "D", data.endomorphism)
+        want = superconnection_coefficient(path, sc, grid, "D")
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+        assert (got.a_parity, got.b_parity) == (want.a_parity, want.b_parity)
+
+    def test_only_quillen_data_lifts(self, workloads):
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        with pytest.raises(TypeError):
+            lift_problem(path, sc.connection)
+        with pytest.raises(TypeError):
+            adiabatic_sweep(path, sc.connection, [1.0], end, steps=6)
+
+
+class TestTransportData:
+    @staticmethod
+    def endomorphism(q, J, matrix, p=1):
+        return GrassmannPoly(p, q, {J: PolyMap.constant(p, np.asarray(matrix, dtype=float))},
+                             rank=(1, 1))
+
+    @pytest.mark.parametrize("q, J, odd_total, even_total", [
+        (0, (), [[0.0, 0.4], [0.3, 0.0]], [[0.5, 0.0], [0.0, -0.2]]),
+        (1, (0,), [[0.5, 0.0], [0.0, -0.2]], [[0.0, 0.4], [0.3, 0.0]]),
+    ], ids=["z^()", "z^1"])
+    def test_rejects_an_endomorphism_of_the_wrong_parity(self, q, J, odd_total, even_total):
+        # the z^J coefficient has block parity (1 + |J|) mod 2, as for a connection
+        from supertransport.errors import ParityError
+        conn = Connection.zero(1, q, (1, 1))
+        TransportData(conn, self.endomorphism(q, J, odd_total))
+        with pytest.raises(ParityError):
+            TransportData(conn, self.endomorphism(q, J, even_total))
+
+    def test_even_endomorphism_never_reaches_the_march(self):
+        # before the check, sp returned a map of no parity with body
+        # diag(1.2840, 1.0408): the field's parity residual was 0.5
+        from supertransport.errors import ParityError
+        n = 2
+        path = SuperPath.line(n, [0.0], [1.0], [G.generator(n, 1) * 0.3], 1.0)
+        end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 2) * 0.5)
+        with pytest.raises(ParityError):
+            sp(path, TransportData(Connection.zero(1, 0, (1, 1)),
+                                   self.endomorphism(0, (), np.diag([0.5, -0.2]))), end, steps=20)
+
+    def test_smooth_oracle_endomorphism_still_transports(self):
+        # an oracle carries no coefficients to check, so it is taken as given
+        from supertransport.grassmann import SmoothMap
+        n, A = 2, np.array([[0.0, 0.4], [0.3, 0.0]])
+        oracle = SmoothMap(1, lambda alpha, x: A if not any(alpha) else np.zeros((2, 2)),
+                           max_order=2, coeff_shape=(2, 2))
+        path = SuperPath.line(n, [0.0], [1.0], [G.generator(n, 1) * 0.3], 1.0)
+        end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 2) * 0.5)
+        conn = Connection.zero(1, 0, (1, 1))
+        got = sp(path, TransportData(conn, GrassmannPoly(1, 0, {(): oracle}, rank=(1, 1))), end,
+                 steps=20)
+        want = sp(path, TransportData(conn, self.endomorphism(0, (), A)), end, steps=20)
+        assert got.distance(want) < 1e-14
+
+    @pytest.mark.parametrize("p, q, size", [(2, 0, 2), (1, 1, 2), (1, 0, 3)])
+    def test_rejects_an_endomorphism_on_another_chart_or_shape(self, p, q, size):
+        from supertransport.errors import DimensionError
+        matrix = np.zeros((size, size))
+        matrix[0, 1] = matrix[1, 0] = 0.5
+        endo = GrassmannPoly(p, q, {(): PolyMap.constant(p, matrix)})
+        with pytest.raises(DimensionError):
+            TransportData(Connection.zero(1, 0, (1, 1)), endo)
