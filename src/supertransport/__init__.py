@@ -32,7 +32,7 @@ from .grassmann import (
     taylor_eval,
     taylor_eval_stack,
 )
-from .superfield import Grid, SuperField, SuperPoint, group_inv, group_mul, super_lt
+from .superfield import Grid, SuperField, SuperPoint
 from .geometry import (
     Connection,
     Curve,
@@ -61,7 +61,6 @@ from .transport import (
     ps,
     recover,
     reparametrize,
-    reverse,
     reverse_transport,
     solve_parallel,
     sp,

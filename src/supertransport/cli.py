@@ -335,6 +335,8 @@ def _cmd_flow(config: dict, args) -> dict:
         raise ConfigError("flow subcommand needs a flow section")
     dims = _dims(config)
     field = _vector_field(cfg, dims)
+    if len(cfg["init"]) != dims.p + dims.q:
+        raise ConfigError(f"flow init needs {dims.p + dims.q} coordinates")
     init = [_grassmann(v, dims.n) for v in cfg["init"]]
     steps = args.steps or int(cfg.get("steps", DEFAULT_STEPS))
     if field.parity is Parity.ODD:

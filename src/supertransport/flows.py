@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParityError, ResolutionError
-from .geometry import SuperVectorField
+from .errors import DimensionError, DomainError, ParityError, ResolutionError
+from .geometry import SuperVectorField, _check_coordinates
 from .grassmann import (
     GrassmannElement,
     Parity,
@@ -62,16 +62,14 @@ class Trajectory:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _check_init(field: SuperVectorField, init: list[GrassmannElement], n: int):
-    if len(init) != field.p + field.q:
-        raise ParityError(f"initial point needs {field.p + field.q} coordinates")
-    for i, x in enumerate(init):
-        if x.n != n:
-            raise ParityError("initial coordinates live over different algebras")
-        if i < field.p and not x.is_even():
-            raise ParityError(f"even coordinate {i} has an odd initial value")
-        if i >= field.p and not x.is_odd():
-            raise ParityError(f"odd coordinate {i} has an even initial value")
+def _check_init(field: SuperVectorField, init: list[GrassmannElement], n: int) -> np.ndarray:
+    """The initial point as a (p + q, 2**n) stack, its count and parities
+    checked as path coordinates are."""
+    if any(x.n != n for x in init):
+        raise DimensionError("initial coordinates live over different algebras")
+    state0 = np.array([x.comps for x in init]).reshape(len(init), 1 << n)
+    _check_coordinates(field.p, field.q, state0[:, :, None])
+    return state0
 
 
 def _integrate(field: SuperVectorField, state0: np.ndarray, t_end: float,
@@ -107,8 +105,7 @@ def flow_even(field: SuperVectorField, init: list[GrassmannElement], t_end: floa
     if field.parity is not Parity.EVEN:
         raise ParityError("flow_even integrates even vector fields")
     n = init[0].n if init else 0
-    _check_init(field, init, n)
-    state0 = np.stack([x.comps for x in init])
+    state0 = _check_init(field, init, n)
     times, states = _integrate(field, state0, t_end, steps)
     return Trajectory(times, states, n)
 
@@ -124,10 +121,9 @@ def flow_odd(field: SuperVectorField, init: list[GrassmannElement], end: SuperPo
     if field.parity is not Parity.ODD:
         raise ParityError("flow_odd integrates odd vector fields")
     n = init[0].n if init else end.n
-    _check_init(field, init, n)
+    state0 = _check_init(field, init, n)
     if end.n != n:
-        raise ParityError("endpoint lives over a different algebra")
-    state0 = np.stack([x.comps for x in init])
+        raise DimensionError("endpoint lives over a different algebra")
     body = end.t.body
 
     Y = field.squared()
@@ -170,8 +166,7 @@ def flow_odd_residual(field: SuperVectorField, init: list[GrassmannElement],
     if field.parity is not Parity.ODD:
         raise ParityError("residual check applies to odd vector fields")
     n = init[0].n
-    _check_init(field, init, n)
-    state0 = np.stack([x.comps for x in init])
+    state0 = _check_init(field, init, n)
     Y = field.squared()
     times, G_states = _integrate(Y, state0, t_end, steps)
     G = np.moveaxis(G_states, 0, 2)

@@ -34,11 +34,10 @@ derivatives at g(u) of all curves composed with g (`_Composition`).
 
 Thread safety: curves, paths, polynomials, forms and connections are not
 changed after construction, with these exceptions: a curve builds its
-derivative curve on first use and keeps it (``Curve._derivative``), as a
-`SuperField` keeps its derivative stacks, and a composition keeps its last
-table in a one-entry memo keyed on the sample times.  All of these fills
-are idempotent -- threads that race build equal values and either is kept --
-so all of these objects may be shared between threads.
+derivative curve on first use and keeps it (``Curve._derivative``), and a
+composition keeps its last table in a one-entry memo keyed on the sample
+times.  Both fills are idempotent -- threads that race build equal values
+and either is kept -- so all of these objects may be shared between threads.
 """
 
 from __future__ import annotations
@@ -624,25 +623,6 @@ class SuperPath:
         lo, hi = min(0.0, self.t_end), max(0.0, self.t_end)
         return lo - self.margin <= t <= hi + self.margin
 
-    # -- validation --------------------------------------------------------------
-
-    def parity_residual(self, samples: int = 5) -> float:
-        res = 0.0
-        for t in np.linspace(0.0, self.t_end if self.t_end else 1.0, samples):
-            for i in range(self.p + self.q):
-                a_val = self.a[i](t)
-                b_val = self.b[i](t)
-                if i < self.p:
-                    res = max(res, a_val.odd_part().norm(), b_val.even_part().norm())
-                else:
-                    res = max(res, a_val.even_part().norm(), b_val.odd_part().norm())
-        return res
-
-    def validate(self, tol: float = 0.0):
-        r = self.parity_residual()
-        if r > tol:
-            raise ParityError(f"path components violate coordinate parities by {r}")
-
     # -- substitution -------------------------------------------------------------
 
     def substituted(self, g: Curve, rho: GrassmannElement, tau: GrassmannElement,
@@ -798,7 +778,7 @@ class DifferentialForm:
                 raise DimensionError(f"bad form index {I} for degree {degree}, p={p}")
             if f.nvars != p or f.coeff_shape != (r, r):
                 raise DimensionError("component must be a (r x r)-valued map of the even variables")
-            _check_block_parity(f.coeffs, rank, endo_parity)
+            _check_block_parity(f, rank, endo_parity)
             comp[I] = f
         self.components = comp
 
@@ -830,12 +810,23 @@ class DifferentialForm:
                                 Parity((self.endo_parity + other.endo_parity) % 2), comps)
 
 
-def _check_block_parity(coeff_stack: np.ndarray, rank: tuple[int, int], parity: Parity):
+def _check_block_parity(f, rank: tuple[int, int], parity: Parity):
+    """The (r x r) coefficients of a polynomial map have the block parity;
+    a smooth oracle has no coefficients to check."""
+    if not isinstance(f, PolyMap):
+        return
     rows = split_parities(rank)
     block = rows[:, None] ^ rows[None, :]
-    bad = coeff_stack[:, block != parity]
+    bad = f.coeffs[:, block != parity]
     if bad.size and float(np.max(np.abs(bad))) != 0.0:
         raise ParityError("matrix coefficients violate the declared endomorphism parity")
+
+
+def _check_term_parities(poly: GrassmannPoly, rank: tuple[int, int], parity: Parity):
+    """The z^J coefficient of an End-valued function of total parity
+    ``parity`` has block parity (parity + |J|) mod 2."""
+    for J, f in poly.terms.items():
+        _check_block_parity(f, rank, Parity((parity + len(J)) % 2))
 
 
 class Connection:
@@ -862,16 +853,12 @@ class Connection:
                 c = GrassmannPoly(p, q, c.terms, c.lambda_n, rank)
             elif c.rank != tuple(rank):
                 raise DimensionError("connection coefficient has a different rank split")
+            _check_term_parities(c, rank, Parity(int(i >= p)))
             norm_coeffs.append(c)
-        coeffs = norm_coeffs
-        for i, c in enumerate(coeffs):
-            want_total = Parity(0 if i < p else 1)
-            for J, f in c.terms.items():
-                _check_block_parity(f.coeffs, rank, Parity((want_total + len(J)) % 2))
         self.p = p
         self.q = q
         self.rank = tuple(rank)
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(norm_coeffs)
 
     @classmethod
     def zero(cls, p: int, q: int, rank: tuple[int, int]) -> "Connection":
@@ -944,7 +931,7 @@ def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
     one call per block: ``coords`` are the block's path coordinates with
     theta adjoined, checked once, and the (2**(n+1), nodes, r, r) stack
     returned is split into its theta^0 and theta^1 parts.  The blocks bound
-    the temporaries of one call's many ring products.
+    the dense stacks one call holds; each ring product bounds its own gather.
     """
     n = path.n
     r = rank[0] + rank[1]

@@ -349,15 +349,15 @@ def soul_series(n: int, soul: np.ndarray, derivative: Callable[[int], np.ndarray
 
 
 def node_blocks(n: int, nodes: int, entries: int = 1) -> list[slice]:
-    """Consecutive slices covering ``range(nodes)`` for a pipeline of ring
-    products over (2**n, block, r, c) stacks with r * c = ``entries``.
+    """Consecutive slices covering ``range(nodes)`` for a pipeline over
+    (2**n, block) + item stacks, an item holding ``entries`` components.
 
-    The kernel bounds each product's gather; these blocks bound the
-    temporaries a pipeline holds at once.  They are sized as if every
-    product gathered the full table, 3**n * block * entries components,
-    under the kernel's cap, so for n >= 9 a block is one node.
+    The kernel bounds each product's gather on its own; these blocks bound
+    the dense temporaries a pipeline holds at once: a block's stack,
+    2**n * block * entries components, stays under the kernel's cap (one
+    item when one alone is larger).
     """
-    size = max(1, _GATHER_CAP // (3 ** n * entries))
+    size = max(1, _GATHER_CAP // ((1 << n) * entries))
     return [slice(lo, min(lo + size, nodes)) for lo in range(0, nodes, size)]
 
 

@@ -22,7 +22,7 @@ Points of R^{1|1} carry the group law (t, theta)(t', theta') =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -103,18 +103,6 @@ class SuperPoint:
                    GrassmannElement.from_json_dict(n, data["theta"]))
 
 
-def group_mul(p: SuperPoint, q: SuperPoint) -> SuperPoint:
-    return p.compose(q)
-
-
-def group_inv(p: SuperPoint) -> SuperPoint:
-    return p.inverse()
-
-
-def super_lt(p: SuperPoint, q: SuperPoint) -> bool:
-    return p < q
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid t0 + k*h, k = 0..nodes-1."""
@@ -171,21 +159,6 @@ def fd4_stack(stack: np.ndarray, h: float) -> np.ndarray:
     return out.reshape(stack.shape) / h
 
 
-def fd4_chain(stack: np.ndarray, h: float) -> Callable[[int], np.ndarray]:
-    """k -> the k-th :func:`fd4_stack` derivative of a node stack, each
-    order computed once.  A racing second fill computes an equal stack, so
-    a chain may be shared between threads."""
-    cache = {0: stack}
-
-    def derivative(k: int) -> np.ndarray:
-        for j in range(1, k + 1):
-            if j not in cache:
-                cache[j] = fd4_stack(cache[j - 1], h)
-        return cache[k]
-
-    return derivative
-
-
 def lagrange_weights(ts: np.ndarray, t) -> np.ndarray:
     """Lagrange basis weights at time t for the nodes ts on the last axis;
     a 1-D array of times goes with one row of nodes per time."""
@@ -217,18 +190,21 @@ def interpolate_stack(grid: Grid, stack: np.ndarray, t) -> np.ndarray:
     return np.einsum("jk,jk...->j...", w, stack[idx])
 
 
-def taylor_stack_at(grid: Grid, derivative: Callable[[int], np.ndarray],
-                    t: GrassmannElement) -> np.ndarray:
+def taylor_stack_at(grid: Grid, stack: np.ndarray, t: GrassmannElement) -> np.ndarray:
     """A node stack at an even time with nilpotent soul: the terminating
-    Taylor series around the body, ``derivative(k)`` being the stack's k-th
-    time derivative on the grid (k = 0 the stack itself)."""
+    Taylor series around the body.  :func:`soul_series` asks for orders
+    k = 1, 2, ... in turn, so the k-th time derivative is one more
+    :func:`fd4_stack` pass over the (k - 1)-th."""
     if not t.is_even():
         raise ParityError("time argument must be even")
+    derivative = stack
 
     def at_body(k: int) -> np.ndarray:
-        return interpolate_stack(grid, derivative(k), t.body)
+        nonlocal derivative
+        derivative = fd4_stack(derivative, grid.h)
+        return interpolate_stack(grid, derivative, t.body)
 
-    return at_body(0) + soul_series(t.n, t.soul().comps, at_body)
+    return interpolate_stack(grid, stack, t.body) + soul_series(t.n, t.soul().comps, at_body)
 
 
 class SuperField:
@@ -240,7 +216,7 @@ class SuperField:
     """
 
     __slots__ = ("grid", "n", "a", "b", "row_split", "col_split",
-                 "a_parity", "b_parity", "_derivatives")
+                 "a_parity", "b_parity")
 
     def __init__(self, grid: Grid, n: int, a: np.ndarray, b: np.ndarray,
                  row_split: tuple[int, int], col_split: tuple[int, int],
@@ -262,7 +238,6 @@ class SuperField:
         self.col_split = tuple(col_split)
         self.a_parity = a_parity
         self.b_parity = b_parity
-        self._derivatives = {"a": fd4_chain(self.a, grid.h), "b": fd4_chain(self.b, grid.h)}
 
     # -- node access and interpolation --------------------------------------
 
@@ -284,7 +259,7 @@ class SuperField:
         """
         if self.grid.nodes < 5:
             raise ResolutionError("derivation needs at least 5 grid nodes")
-        da = self._derivatives["a"](1)
+        da = fd4_stack(self.a, self.grid.h)
         if which == "D":
             return SuperField(self.grid, self.n, self.b, da, self.row_split,
                               self.col_split, self.b_parity, self.a_parity)
@@ -292,7 +267,7 @@ class SuperField:
             return SuperField(self.grid, self.n, self.b, -da, self.row_split,
                               self.col_split, self.b_parity, self.a_parity)
         if which == "dt":
-            db = self._derivatives["b"](1)
+            db = fd4_stack(self.b, self.grid.h)
             return SuperField(self.grid, self.n, da, db, self.row_split,
                               self.col_split, self.a_parity, self.b_parity)
         raise ValueError(f"unknown derivation {which!r}; expected 'D', 'Q' or 'dt'")
@@ -386,8 +361,8 @@ class SuperField:
         n = self.n
         times = sign * new_grid.times() + shift.body
         a, b, da, db = (interpolate_stack(self.grid, stack, times).swapaxes(0, 1)
-                        for stack in (self.a, self.b, self._derivatives["a"](1),
-                                      self._derivatives["b"](1)))
+                        for stack in (self.a, self.b, fd4_stack(self.a, self.grid.h),
+                                      fd4_stack(self.b, self.grid.h)))
         taurho = None if rho.norm() == 0.0 and tau.norm() == 0.0 else tau * rho
         new_a = a + scale_stack(n, tau.comps, b, side="left")
         new_b = scale_stack(n, rho.comps, da, side="left") + e * b

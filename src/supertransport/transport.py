@@ -48,8 +48,8 @@ from .geometry import (
     GrassmannPoly,
     SuperPath,
     Superconnection,
-    _check_block_parity,
     _check_endomorphism,
+    _check_term_parities,
     connection_coefficient,
     endomorphism_term,
     odd_tangent_lift,
@@ -69,7 +69,7 @@ from .grassmann import (
     stack_parity,
     total_parities,
 )
-from .superfield import Grid, SuperField, SuperPoint, fd4_chain, interpolate_stack, taylor_stack_at
+from .superfield import Grid, SuperField, SuperPoint, fd4_stack, interpolate_stack, taylor_stack_at
 
 DEFAULT_STEPS = 400
 
@@ -146,10 +146,11 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     Every field is checked as :func:`solve_parallel` checks one, and the
     batch must share the grid, the algebra and the block splits.  The
     fields' stacks gain a problem axis right after the key axis and march
-    in blocks of problems from :func:`node_blocks` (one for n >= 9), which
-    bound the temporaries of a block's march: the product of its RK4 step
-    maps (:func:`_step_maps`, :func:`_ordered_product`), whose ring products
-    take all steps at once.  A non-finite product raises DomainError.
+    in blocks of problems from :func:`node_blocks`, an item being one
+    problem's (nodes, r, r) coefficient stack, which bound the dense
+    temporaries of a block's march: its RK4 step maps (:func:`_step_maps`)
+    and their product (:func:`_ordered_product`), whose ring products take
+    all steps at once.  A non-finite product raises DomainError.
     """
     if variant not in ("D", "Q"):
         raise ValueError("variant must be 'D' or 'Q'")
@@ -179,7 +180,7 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     soul = end.t.soul().comps
     starts = np.arange(i0, i1, direction)
     maps = np.empty((1 << n, len(fields), r, r))
-    for blk in node_blocks(n, len(fields), r * r):
+    for blk in node_blocks(n, len(fields), r * r * grid.nodes):
         a = np.stack([f.a for f in fields[blk]], axis=2)
         b = np.stack([f.b for f in fields[blk]], axis=2)
         M = _reduced_matrix_stacks(n, a, b, first.row_split, variant)
@@ -188,7 +189,7 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
             if not np.isfinite(X).all():
                 raise DomainError("transport map is not finite")
         X = sign_twist(n, X + _taylor_endpoint(n, grid, M, X, body, soul), rows)
-        C_end = taylor_stack_at(grid, fd4_chain(a, grid.h), end.t)
+        C_end = taylor_stack_at(grid, a, end.t)
         B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
         maps[:, blk] = X + scale_stack(n, end.theta.comps, B_stack, side="left")
     return [GradedMatrix(n, maps[:, k], first.row_split, first.col_split,
@@ -245,13 +246,17 @@ def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: flo
     recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j) of plain products; those
     of M from grid stencils.  The soul is even, so it commutes with the twist.
     """
-    m_derivative = fd4_chain(M, grid.h)
     x_derivs = [X]
+    m_grid = M  # M^(k-1) on the grid when X^(k) is asked for
     m_at = []  # M^(j)(t), each interpolated once, when first needed
 
     def x_derivative(k: int) -> np.ndarray:
-        # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j)
-        m_at.append(interpolate_stack(grid, m_derivative(k - 1), body))
+        # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j); soul_series
+        # asks for k = 1, 2, ... in turn, so each order is one more stencil pass
+        nonlocal m_grid
+        if k > 1:
+            m_grid = fd4_stack(m_grid, grid.h)
+        m_at.append(interpolate_stack(grid, m_grid, body))
         acc = np.zeros_like(X)
         for j in range(k):
             acc = acc + math.comb(k - 1, j) * mul_stacks(n, m_at[j], x_derivs[k - 1 - j])
@@ -290,9 +295,7 @@ class TransportData:
     def __post_init__(self):
         if self.endomorphism is not None:
             _check_endomorphism(self.endomorphism, self.connection, self.rank)
-            for J, f in self.endomorphism.terms.items():
-                if hasattr(f, "coeffs"):  # a smooth oracle has no coefficients to check
-                    _check_block_parity(f.coeffs, self.rank, Parity((1 + len(J)) % 2))
+            _check_term_parities(self.endomorphism, self.rank, Parity.ODD)
 
     @property
     def rank(self) -> tuple[int, int]:
@@ -394,11 +397,6 @@ def glue(path: SuperPath, path2: SuperPath, joint: SuperPoint,
 def glued_endpoint(joint: SuperPoint, end2: SuperPoint) -> SuperPoint:
     """Endpoint of the glued path: the group product end2 * joint."""
     return end2.compose(joint)
-
-
-def reverse(path: SuperPath, end: SuperPoint) -> SuperPath:
-    """The reversed path u -> c((u, eta)^{-1} (t0, th0))."""
-    return path.reversed_through(end)
 
 
 def reparametrize(path: SuperPath, r: Curve, new_t_end: float,

@@ -463,11 +463,11 @@ def taylor_at(field, which: str, t):
     time with nilpotent soul, by the terminating Taylor series over its
     grid derivatives."""
     from supertransport.grassmann import GradedMatrix
-    from supertransport.superfield import fd4_chain, taylor_stack_at
+    from supertransport.superfield import taylor_stack_at
 
     stack = getattr(field, which)
     parity = field.a_parity if which == "a" else field.b_parity
-    return GradedMatrix(field.n, taylor_stack_at(field.grid, fd4_chain(stack, field.grid.h), t),
+    return GradedMatrix(field.n, taylor_stack_at(field.grid, stack, t),
                         field.row_split, field.col_split, parity, check=False)
 
 

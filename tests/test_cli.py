@@ -254,6 +254,17 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "config" and "config schema violation at ['flow'" in err["message"]
 
+    @pytest.mark.parametrize("init", [[0.5], [0.5, {"1": 0.5}, {"2": 0.5}]], ids=["short", "long"])
+    def test_flow_init_of_the_wrong_length_exit_1(self, tmp_path, capsys, init):
+        # it ended as {"error": "numerical"} with exit 2, from the flow itself
+        cfg = json.loads((CONFIGS / "flow_demo.json").read_text())
+        cfg["flow"]["init"] = init
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["flow", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": "flow init needs 2 coordinates"}
+
     @pytest.mark.parametrize("command", ["transport", "sweep", "verify"])
     def test_theta_needs_room_above_n_exit_1(self, tmp_path, capsys, monkeypatch, command):
         # pullbacks along a path with coordinates, and so verify, adjoin theta

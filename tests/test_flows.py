@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from supertransport.errors import DomainError, ParityError, ResolutionError
+from supertransport.errors import DimensionError, DomainError, ParityError, ResolutionError
 from supertransport.flows import flow_even, flow_odd, flow_odd_residual
 from supertransport.geometry import GrassmannPoly, SuperVectorField
 from supertransport.grassmann import GrassmannElement, Parity, PolyMap
@@ -75,8 +75,23 @@ class TestFlowEven:
             flow_even(Y, [G.generator(2, 1)], 1.0, 16)
         # the initial point is checked on entry only, never at the RK stages
         for init in ([G.generator(2, 1), G.generator(2, 2)], [G.scalar(2, 0.5), G.scalar(2, 1.0)]):
-            with pytest.raises(ParityError, match="initial value"):
+            with pytest.raises(ParityError, match="wrong parity"):
                 flow_odd(X, init, SuperPoint.at(2, 1.0), 16)
+
+    def test_malformed_initial_points_are_dimension_errors(self):
+        # a count or algebra mismatch is a shape fault, not a parity fault
+        X = d_analog_field()
+        good = [G.scalar(2, 0.5), G.generator(2, 1)]
+        for init in ([G.scalar(2, 0.5)], good + [G.generator(2, 2)],
+                     [G.scalar(2, 0.5), G.generator(3, 1)]):
+            with pytest.raises(DimensionError):
+                flow_even(X.squared(), init, 1.0, 16)
+            with pytest.raises(DimensionError):
+                flow_odd(X, init, SuperPoint.at(2, 1.0), 16)
+            with pytest.raises(DimensionError):
+                flow_odd_residual(X, init, 1.0, 16)
+        with pytest.raises(DimensionError):
+            flow_odd(X, good, SuperPoint.at(3, 1.0), 16)
 
     def test_blow_up_raises(self):
         X = SuperVectorField(1, 0, Parity.EVEN,

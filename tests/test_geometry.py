@@ -37,7 +37,7 @@ G = GrassmannElement
 
 
 class TestCurve:
-    def test_polynomial_and_derivatives(self):
+    def test_polynomial_derivative_chain(self):
         c = Curve.polynomial(2, [1.0, 0.0, 1.0])
         assert c(2.0).body == 5.0
         assert c.derivative()(2.0).body == 4.0
@@ -132,10 +132,11 @@ class TestSuperPathSubstitutions:
             assert rev.b[0](t).norm() < 1e-14
 
     def test_parity_validation(self):
+        # every transport checks the path's coordinates on its grid
         n = 2
         bad = SuperPath.line(n, [G.generator(n, 1)], [0.0], [G.zero(n)], 1.0)
-        with pytest.raises(ParityError):
-            bad.validate()
+        with pytest.raises(ParityError, match="coordinate 0"):
+            connection_coefficient(bad, Connection.zero(1, 0, (1, 0)), Grid.over(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("plane", [(0, 5), (0, 0), (1,), (-1, 0)])
     def test_circle_plane_names_two_coordinates(self, plane):
@@ -430,7 +431,8 @@ class TestOddTangent:
         assert (lifted.p, lifted.q) == (1, 1)
         assert lifted.a[1](0.7).allclose(e1 * 0.5, 1e-14)
         assert lifted.b[1](0.7).norm() == 0.0
-        lifted.validate()
+        # the lift's coordinates pass the parity check of every assembly
+        connection_coefficient(lifted, Connection.zero(1, 1, (1, 0)), Grid.over(0.0, 1.0, 5))
 
     def test_data_round_trip(self, rng):
         from supertransport.verify import random_superconnection
@@ -670,8 +672,8 @@ class TestBatchedAssembly:
         geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
         assert blocks == [21]
         whole = connection_coefficient(path, conn, grid)
-        # a cap of five nodes' gathers: blocks of 5, and the same field
-        monkeypatch.setattr(grassmann, "_GATHER_CAP", 5 * 3 ** (n + 1) * 4)
+        # a cap of five nodes' dense stacks: blocks of 5, and the same field
+        monkeypatch.setattr(grassmann, "_GATHER_CAP", 5 * 2 ** (n + 1) * 4)
         blocks.clear()
         geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
         assert blocks == [5, 5, 5, 5, 1]

@@ -409,19 +409,22 @@ def test_soul_series_stops_at_first_vanishing_power():
     assert soul_series(n, np.zeros(1 << n), derivative) == 0.0 and asked == [1]
 
 
-def test_node_blocks_keep_one_gather_under_the_cap():
+def test_node_blocks_keep_one_block_stack_under_the_cap():
     from supertransport.grassmann import _GATHER_CAP
     for n in range(13):
-        for entries in (1, 4, 16):
+        for entries in (1, 4, 16, 4 * 101):
             blocks = node_blocks(n, 101, entries)
             assert [i for blk in blocks for i in range(101)[blk]] == list(range(101))
             size = blocks[0].stop - blocks[0].start
-            if n >= 10:
-                assert size == 1  # one node per pipeline block
-            else:
-                assert size == 1 or 3 ** n * size * entries <= _GATHER_CAP
-    # the benchmark's chart problem (N = 4 plus theta, rank 1|1) is one block
+            if (1 << n) * entries > _GATHER_CAP:
+                assert size == 1  # one item per pipeline block
+            else:  # the largest block whose dense stack fits
+                assert (1 << n) * size * entries <= _GATHER_CAP
+                assert size == 101 or (1 << n) * (size + 1) * entries > _GATHER_CAP
+    # the benchmark's chart problem (N = 4 plus theta, rank 1|1) is one block,
+    # and so is its sweep: eight problems of 25 nodes at rank 1|1
     assert len(node_blocks(5, 13, 4)) == 1
+    assert len(node_blocks(4, 8, 4 * 25)) == 1
 
 
 @pytest.mark.parametrize("n, left, right", [(4, "soulful", "soulful"), (6, "sparse", "soulful")],

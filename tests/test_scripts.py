@@ -34,3 +34,11 @@ def test_adiabatic_table_ratios():
     ratios = _ratios(lines, "lambda        |SP_lambda - SP_0|    ratio")
     assert len(ratios) == 6
     assert all(1.2 <= r <= 1.7 for r in ratios), ratios
+
+
+def test_readme_quickstart_runs():
+    # the first python block of the README, run as a reader would paste it
+    text = (REPO / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from supertransport import" in block
+    exec(compile(block, str(REPO / "README.md"), "exec"), {"__name__": "__readme__"})

@@ -45,7 +45,6 @@ from supertransport.transport import (
     ps,
     recover,
     reparametrize,
-    reverse,
     reverse_transport,
     solve_parallel,
     sp,
@@ -395,7 +394,7 @@ class TestReverse:
         n = 2
         path = SuperPath.line(n, [0.7], [0.0], [G.zero(n)], 1.0)
         end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 1) * 0.5)
-        rev = reverse(path, end)
+        rev = path.reversed_through(end)
         for t in (0.0, 0.5, 1.0):
             assert rev.a[0](t).allclose(path.a[0](t), 1e-13)
 
@@ -405,7 +404,7 @@ class TestReverse:
         path = SuperPath.line(n, [0.1], [0.9], [G.generator(n, 1) * 0.6], 1.0)
         end = SuperPoint(G.scalar(n, 1.0), G.generator(n, 2) * 0.4)
         fwd = sp(path, conn, end, steps=300)
-        back = ps(reverse(path, end), conn, end, steps=300)
+        back = ps(path.reversed_through(end), conn, end, steps=300)
         assert back.compose(fwd).matrix.distance(GradedMatrix.identity(n, (1, 1))) < 1e-9
 
     def test_superconnection_reversal(self, rng):
@@ -631,6 +630,39 @@ class TestBatchedMarch:
         assert max(gathers) == 3 ** n * r * r
         for got, want in zip(batched, single):
             assert same_map(got, want)
+
+
+    def test_pipeline_peaks_stay_near_one_block_at_eight_generators(self, rng):
+        # At N = 8 one problem's coefficient stack already passes the cap, so
+        # a batch marches one problem at a time, and assembly holds a few
+        # capped node blocks beyond the field it builds (whose a and b
+        # stacks it copies once).
+        import tracemalloc
+        from supertransport.transport import _march
+
+        n, steps = 8, 50
+        sc = random_superconnection(rng, 2, (1, 1))
+        end = soulful_end(n)
+        lifted, data = lift_problem(random_path(rng, n, 2), sc)
+        grid = Grid.over(0.0, 1.0, 2 * steps + 1)
+        tracemalloc.start()
+        try:
+            field = connection_coefficient(lifted, data.connection, grid, "D", data.endomorphism)
+            assemble_peak = tracemalloc.get_traced_memory()[1]
+            fields = [field.scaled(s) for s in (1.0, 0.9, 0.8, 0.7)]
+            peaks = []
+            for batch in (fields[:1], fields):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                _march(batch, end, "D")
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        stack = field.a.nbytes
+        cap = grassmann._GATHER_CAP * 8
+        assert (1 << n) * field.a[0, 0].size * grid.nodes > grassmann._GATHER_CAP
+        assert assemble_peak <= 4 * stack + 16 * cap
+        assert peaks[1] <= peaks[0] + 2 * stack
 
 
 def tree_and_oracle(fields, body, variant="D"):
@@ -914,3 +946,68 @@ class TestTransportData:
         endo = GrassmannPoly(p, q, {(): PolyMap.constant(p, matrix)})
         with pytest.raises(DimensionError):
             TransportData(Connection.zero(1, 0, (1, 1)), endo)
+
+
+class TestSmoothOracleCoefficients:
+    """A smooth oracle carries no coefficients whose block parity could be
+    checked, so a connection or form built on one is taken as given and
+    transports like its polynomial twin."""
+
+    n, rank, steps = 4, (1, 1), 40
+    DIAG0, DIAG1 = np.diag([0.25, -0.5]), np.diag([0.5, 0.75])      # even: a connection
+    ODD0, ODD1 = np.array([[0.0, 0.5], [0.25, 0.0]]), np.array([[0.0, -0.25], [0.5, 0.0]])
+
+    @staticmethod
+    def linear(c0, c1, smooth):
+        # c0 + c1 x, as a polynomial or as a derivative oracle; a linear map
+        # keeps both evaluations to the same floating-point operations
+        if not smooth:
+            return PolyMap(1, {(0,): c0, (1,): c1})
+        from supertransport.grassmann import SmoothMap
+
+        def partial(alpha, x):
+            return {0: c0 + c1 * x[0], 1: c1}.get(alpha[0], np.zeros((2, 2)))
+
+        return SmoothMap(1, partial, 3, (2, 2))
+
+    def problem(self):
+        n = self.n
+        start = G.scalar(n, 0.25) + G.monomial(n, (1, 2), 0.125)
+        path = SuperPath.line(n, [start], [0.75], [G.generator(n, 1) * 0.5
+                                                  + G.generator(n, 3) * 0.25], 1.0)
+        end = SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (3, 4), 0.25),
+                         G.generator(n, 2) * 0.5 + G.generator(n, 4) * 0.25)
+        return path, end
+
+    def connection(self, smooth):
+        return Connection(1, 0, self.rank, [
+            GrassmannPoly(1, 0, {(): self.linear(self.DIAG0, self.DIAG1, smooth)})])
+
+    def superconnection(self, smooth):
+        form0 = DifferentialForm(0, 1, self.rank, Parity.ODD,
+                                 {(): self.linear(self.ODD0, self.ODD1, smooth)})
+        return Superconnection(self.connection(False), (form0,))
+
+    def test_smooth_connection_coefficient(self):
+        path, end = self.problem()
+        got = sp(path, self.connection(True), end, steps=self.steps)
+        want = sp(path, self.connection(False), end, steps=self.steps)
+        assert np.any(want.matrix.comps[1:])
+        assert np.array_equal(got.matrix.comps, want.matrix.comps)
+
+    def test_smooth_zero_form(self):
+        path, end = self.problem()
+        for transport in (sp, reverse_transport):
+            got = transport(path, self.superconnection(True), end, steps=self.steps)
+            want = transport(path, self.superconnection(False), end, steps=self.steps)
+            assert np.array_equal(got.matrix.comps, want.matrix.comps)
+
+    def test_wrong_parity_polynomial_terms_still_raise(self):
+        from supertransport.errors import ParityError
+        with pytest.raises(ParityError):
+            Connection(1, 0, self.rank, [GrassmannPoly(1, 0, {(): PolyMap.constant(1, self.ODD0)})])
+        with pytest.raises(ParityError):
+            DifferentialForm(0, 1, self.rank, Parity.ODD, {(): PolyMap.constant(1, self.DIAG0)})
+        with pytest.raises(ParityError):
+            TransportData(self.connection(True),
+                          GrassmannPoly(1, 0, {(): PolyMap.constant(1, self.DIAG0)}, rank=self.rank))
