@@ -134,6 +134,11 @@ class Dims:
     n: int
     rank: tuple[int, int]
 
+    @property
+    def parities(self) -> list[Parity]:
+        """The coordinates' parities: p even ones, then q odd ones."""
+        return [Parity.EVEN] * self.p + [Parity.ODD] * self.q
+
 
 @functools.cache
 def _config_validator():
@@ -165,10 +170,22 @@ def _key_indices(key: str, top: int) -> tuple[int, ...]:
         raise ConfigError(str(exc)) from None
 
 
-def _grassmann(value, n: int) -> GrassmannElement:
+def _grassmann(value, n: int, parity: Parity) -> GrassmannElement:
+    """A configured Grassmann number for a slot of the given parity; a value
+    of the other parity is a configuration error."""
     if isinstance(value, (int, float)):
-        return GrassmannElement.scalar(n, float(value))
-    return GrassmannElement.from_terms(n, {_key_indices(k, n): float(c) for k, c in value.items()})
+        elem = GrassmannElement.scalar(n, float(value))
+    else:
+        elem = GrassmannElement.from_terms(n, {_key_indices(k, n): float(c)
+                                               for k, c in value.items()})
+    if not (elem.is_odd() if parity is Parity.ODD else elem.is_even()):
+        raise ConfigError(f"value {value!r} has the wrong parity: its slot takes "
+                          f"{parity.name.lower()} values")
+    return elem
+
+
+def _superpoint(t, theta, n: int) -> SuperPoint:
+    return SuperPoint(_grassmann(t, n, Parity.EVEN), _grassmann(theta, n, Parity.ODD))
 
 
 def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
@@ -240,20 +257,25 @@ def _path(config: dict, dims: Dims) -> SuperPath:
     t_end = float(cfg.get("t_end", 1.0))
     ncoords = dims.p + dims.q
 
-    def gvals(key, default=0.0):
-        vals = cfg.get(key, [default] * ncoords)
+    # x_i(t) + theta*y_i(t): x_i has the parity of coordinate i, y_i the other
+    x_par = dims.parities
+    y_par = [par.flipped() for par in x_par]
+
+    def gvals(key, parities):
+        vals = cfg.get(key, [0.0] * ncoords)
         if len(vals) != ncoords:
             raise ConfigError(f"path field {key!r} needs {ncoords} entries")
-        return [_grassmann(v, n) for v in vals]
+        return [_grassmann(v, n, par) for v, par in zip(vals, parities)]
 
     if kind == "line":
-        return SuperPath.line(n, gvals("start"), gvals("velocity"), gvals("eta"),
-                              t_end, p=dims.p, q=dims.q)
+        return SuperPath.line(n, gvals("start", x_par), gvals("velocity", x_par),
+                              gvals("eta", y_par), t_end, p=dims.p, q=dims.q)
     if kind == "polynomial":
-        even = [[_grassmann(c, n) for c in coeffs] for coeffs in cfg["even"]]
-        theta = [[_grassmann(c, n) for c in coeffs] for coeffs in cfg["theta"]]
-        if len(even) != ncoords or len(theta) != ncoords:
+        if len(cfg["even"]) != ncoords or len(cfg["theta"]) != ncoords:
             raise ConfigError(f"polynomial path needs {ncoords} coefficient lists")
+        even = [[_grassmann(c, n, par) for c in coeffs] for coeffs, par in zip(cfg["even"], x_par)]
+        theta = [[_grassmann(c, n, par) for c in coeffs]
+                 for coeffs, par in zip(cfg["theta"], y_par)]
         return SuperPath.from_polynomials(n, even, theta, t_end, p=dims.p, q=dims.q)
     if kind == "circle":
         if dims.q:
@@ -263,7 +285,7 @@ def _path(config: dict, dims: Dims) -> SuperPath:
             raise ConfigError(f"circle plane {plane} is not 2 distinct axes in 0..{dims.p - 1}")
         return SuperPath.circle(n, [float(c) for c in cfg["center"]],
                                 float(cfg["radius"]), float(cfg["omega"]),
-                                gvals("eta"), t_end, plane=plane,
+                                gvals("eta", y_par), t_end, plane=plane,
                                 phase=float(cfg.get("phase", 0.0)))
     if kind == "sampled":
         grid = Grid(float(cfg["t0"]), float(cfg["h"]), int(cfg["nodes"]))
@@ -273,8 +295,10 @@ def _path(config: dict, dims: Dims) -> SuperPath:
             raise ConfigError(f"sampled path needs {ncoords} value tables")
         if any(len(tab) != grid.nodes for tab in a_tables + b_tables):
             raise ConfigError(f"sampled path tables need {grid.nodes} values each")
-        a = [Curve.from_samples(n, grid, [_grassmann(v, n) for v in tab]) for tab in a_tables]
-        b = [Curve.from_samples(n, grid, [_grassmann(v, n) for v in tab]) for tab in b_tables]
+        a = [Curve.from_samples(n, grid, [_grassmann(v, n, par) for v in tab])
+             for tab, par in zip(a_tables, x_par)]
+        b = [Curve.from_samples(n, grid, [_grassmann(v, n, par) for v in tab])
+             for tab, par in zip(b_tables, y_par)]
         return SuperPath(dims.p, dims.q, n, a, b, t_end)
     raise ConfigError(f"unknown path kind {kind!r}")
 
@@ -283,8 +307,7 @@ def _endpoint(config: dict, dims: Dims) -> SuperPoint:
     cfg = config.get("endpoint")
     if cfg is None:
         return SuperPoint.at(dims.n, float(config.get("t_end", 1.0)))
-    return SuperPoint(_grassmann(cfg.get("t", 1.0), dims.n),
-                      _grassmann(cfg.get("theta", 0.0), dims.n))
+    return _superpoint(cfg.get("t", 1.0), cfg.get("theta", 0.0), dims.n)
 
 
 def _vector_field(cfg: dict, dims: Dims) -> SuperVectorField:
@@ -337,12 +360,12 @@ def _cmd_flow(config: dict, args) -> dict:
     field = _vector_field(cfg, dims)
     if len(cfg["init"]) != dims.p + dims.q:
         raise ConfigError(f"flow init needs {dims.p + dims.q} coordinates")
-    init = [_grassmann(v, dims.n) for v in cfg["init"]]
+    init = [_grassmann(v, dims.n, par) for v, par in zip(cfg["init"], dims.parities)]
     steps = args.steps or int(cfg.get("steps", DEFAULT_STEPS))
     if field.parity is Parity.ODD:
         end_cfg = cfg.get("endpoint", {})
-        end = SuperPoint(_grassmann(end_cfg.get("t", cfg.get("t_end", 1.0)), dims.n),
-                         _grassmann(end_cfg.get("theta", 0.0), dims.n))
+        end = _superpoint(end_cfg.get("t", cfg.get("t_end", 1.0)), end_cfg.get("theta", 0.0),
+                          dims.n)
         values = flow_odd(field, init, end, steps=steps)
         return {"result": "flow_odd",
                 "endpoint": end.to_json_dict(),

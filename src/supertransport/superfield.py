@@ -4,8 +4,8 @@ A field psi = a(t) + theta*b(t) is stored through its two theta-components,
 each sampled on a uniform grid of graded matrices.  Time derivatives use
 fourth-order finite differences (one-sided at the ends); off-grid values use
 quartic Lagrange interpolation, and evaluation at points whose time
-coordinate carries a nilpotent soul uses the terminating Taylor series with
-derivatives taken from the grid.
+coordinate carries a nilpotent soul uses the terminating Taylor series around
+a grid node, with the value and derivatives read at that node.
 
 The odd derivations supported are
 
@@ -22,7 +22,7 @@ Points of R^{1|1} carry the group law (t, theta)(t', theta') =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -171,40 +171,40 @@ def lagrange_weights(ts: np.ndarray, t) -> np.ndarray:
 
 
 def interpolate_stack(grid: Grid, stack: np.ndarray, t) -> np.ndarray:
-    """Quartic Lagrange interpolation of a node stack at a real time.
-
-    For a 1-D array of times the result gains a leading time axis.
-    """
+    """Quartic Lagrange interpolation of a node stack at a 1-D array of real
+    times, off the nodes too; the result gains a leading time axis.  The
+    transport endpoint is read at its node instead (:func:`taylor_stack_at`)."""
     t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise DimensionError("interpolation takes a 1-D array of times")
     if not (grid.contains(t.min()) and grid.contains(t.max())):
         raise DomainError(f"time {t} outside grid window [{grid.t0}, {grid.t_end}]")
     if grid.nodes < 5:
         raise ResolutionError("interpolation needs at least 5 grid nodes")
     start = np.minimum(np.maximum(np.rint((t - grid.t0) / grid.h).astype(int) - 2, 0),
                        grid.nodes - 5)
-    idx = start[..., None] + np.arange(5)
-    w = lagrange_weights(grid.t0 + grid.h * idx, t)
-    if t.ndim == 0:
-        # a window view, not a gathered copy: solver stacks can be large
-        return np.tensordot(w, stack[start:start + 5], axes=(0, 0))
-    return np.einsum("jk,jk...->j...", w, stack[idx])
+    idx = start[:, None] + np.arange(5)
+    return np.einsum("jk,jk...->j...", lagrange_weights(grid.t0 + grid.h * idx, t), stack[idx])
+
+
+def node_jets(grid: Grid, stack: np.ndarray, node: int) -> Iterator[np.ndarray]:
+    """The time derivatives of a node stack at one node, orders 0, 1, 2, ...
+    in turn: the k-th is the k-th :func:`fd4_stack` pass read at the node,
+    each pass taken over the last only when its order is asked for."""
+    while True:
+        yield stack[node]
+        stack = fd4_stack(stack, grid.h)
 
 
 def taylor_stack_at(grid: Grid, stack: np.ndarray, t: GrassmannElement) -> np.ndarray:
-    """A node stack at an even time with nilpotent soul: the terminating
-    Taylor series around the body.  :func:`soul_series` asks for orders
-    k = 1, 2, ... in turn, so the k-th time derivative is one more
-    :func:`fd4_stack` pass over the (k - 1)-th."""
+    """A node stack at an even time with nilpotent soul whose body is a grid
+    node: the terminating Taylor series around that node.  A body off the
+    nodes raises DomainError."""
     if not t.is_even():
         raise ParityError("time argument must be even")
-    derivative = stack
-
-    def at_body(k: int) -> np.ndarray:
-        nonlocal derivative
-        derivative = fd4_stack(derivative, grid.h)
-        return interpolate_stack(grid, derivative, t.body)
-
-    return interpolate_stack(grid, stack, t.body) + soul_series(t.n, t.soul().comps, at_body)
+    jets = node_jets(grid, stack, grid.index_of(t.body))
+    # soul_series asks for orders k = 1, 2, ... in turn
+    return next(jets) + soul_series(t.n, t.soul().comps, lambda k: next(jets))
 
 
 class SuperField:

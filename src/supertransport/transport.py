@@ -16,9 +16,10 @@ linear map P_k fixed by the samples, X_{k+1} = P_k X_k, so the march builds
 all step maps at once and multiplies P_{m-1} ... P_0 pairwise in
 ceil(log2 m) levels; the product is checked once for overflow.  Endpoints
 whose time coordinate carries a soul are reached by the terminating Taylor
-series with derivatives generated from the right-hand side.  The march runs in
-the sign twist T of graded_mul_stacks, where the sign (-1)**(|J| (p_i + p_j))
-of a key pair splits per factor: a' = M a has M, a on one block split, so
+series around the endpoint's grid node, with derivatives generated from the
+right-hand side and read at that node.  The march runs in the sign twist T
+of graded_mul_stacks, where the sign (-1)**(|J| (p_i + p_j)) of a key pair
+splits per factor: a' = M a has M, a on one block split, so
 T(M o a) = T(M) . T(a) is one plain ring product.
 
 On top of the solver live the transport-map constructors and the path
@@ -69,9 +70,11 @@ from .grassmann import (
     stack_parity,
     total_parities,
 )
-from .superfield import Grid, SuperField, SuperPoint, fd4_stack, interpolate_stack, taylor_stack_at
+from .superfield import Grid, SuperField, SuperPoint, node_jets, taylor_stack_at
 
 DEFAULT_STEPS = 400
+_OVERLAP_SAMPLES, _OVERLAP_WIDTH, _OVERLAP_TOL = 16, 1e-2, 1e-9
+_MONOTONE_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
             X = _ordered_product(n, _step_maps(n, M, starts, direction // 2, h))
             if not np.isfinite(X).all():
                 raise DomainError("transport map is not finite")
-        X = sign_twist(n, X + _taylor_endpoint(n, grid, M, X, body, soul), rows)
+        X = sign_twist(n, X + _taylor_endpoint(n, grid, M, X, i1, soul), rows)
         C_end = taylor_stack_at(grid, a, end.t)
         B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
         maps[:, blk] = X + scale_stack(n, end.theta.comps, B_stack, side="left")
@@ -238,25 +241,23 @@ def _ordered_product(n: int, P: np.ndarray) -> np.ndarray:
     return P[:, 0]
 
 
-def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, body: float,
+def _taylor_endpoint(n: int, grid: Grid, M: np.ndarray, X: np.ndarray, node: int,
                      soul: np.ndarray):
     """Soul tail of the fundamental solution's terminating Taylor series.
 
     Derivatives of the twisted solution come from X' = M X by the Leibniz
     recursion X^(k+1) = sum_j C(k,j) M^(j) X^(k-j) of plain products; those
-    of M from grid stencils.  The soul is even, so it commutes with the twist.
+    of M are read at the endpoint's node (:func:`node_jets`).  The soul is
+    even, so it commutes with the twist.
     """
     x_derivs = [X]
-    m_grid = M  # M^(k-1) on the grid when X^(k) is asked for
-    m_at = []  # M^(j)(t), each interpolated once, when first needed
+    m_jets = node_jets(grid, M, node)
+    m_at = []  # M^(j) at the node, each read once, when first needed
 
     def x_derivative(k: int) -> np.ndarray:
         # X^(k) = sum_{j=0}^{k-1} binom(k-1, j) M^(j)(t) X^(k-1-j); soul_series
-        # asks for k = 1, 2, ... in turn, so each order is one more stencil pass
-        nonlocal m_grid
-        if k > 1:
-            m_grid = fd4_stack(m_grid, grid.h)
-        m_at.append(interpolate_stack(grid, m_grid, body))
+        # asks for k = 1, 2, ... in turn, so M^(k-1) is the one new jet
+        m_at.append(next(m_jets))
         acc = np.zeros_like(X)
         for j in range(k):
             acc = acc + math.comb(k - 1, j) * mul_stacks(n, m_at[j], x_derivs[k - 1 - j])
@@ -369,9 +370,7 @@ def reverse_transport(path: SuperPath, sc, end: SuperPoint,
 # ---------------------------------------------------------------------------
 
 
-def glue(path: SuperPath, path2: SuperPath, joint: SuperPoint,
-         eps_overlap: float | None = None, samples: int = 16,
-         tol: float = 1e-9) -> SuperPath:
+def glue(path: SuperPath, path2: SuperPath, joint: SuperPoint) -> SuperPath:
     """Concatenate two paths whose germs match across the joint.
 
     ``path2`` must agree with ``path`` right-translated by the joint on an
@@ -382,13 +381,13 @@ def glue(path: SuperPath, path2: SuperPath, joint: SuperPoint,
     if (path.p, path.q, path.n) != (path2.p, path2.q, path2.n):
         raise DimensionError("glued paths have different targets")
     t_joint = joint.t.body
-    eps = eps_overlap if eps_overlap is not None else 1e-2 * max(abs(t_joint) + abs(path2.t_end), 1.0)
+    eps = _OVERLAP_WIDTH * max(abs(t_joint) + abs(path2.t_end), 1.0)
     translated = path.translated(joint)
-    us = np.linspace(-eps / 2, eps / 2, samples)
+    us = np.linspace(-eps / 2, eps / 2, _OVERLAP_SAMPLES)
     worst = 0.0
     for c1, c2 in zip(translated.a + translated.b, path2.a + path2.b):
         worst = max(worst, float(np.max(np.abs(c1.sample(us) - c2.sample(us)))))
-    if worst > tol:
+    if worst > _OVERLAP_TOL:
         raise CompatibilityError(f"paths differ by {worst} on the overlap")
     branch2 = path2.shifted_by_inverse(joint, t_joint + path2.t_end)
     return SuperPath.piecewise(path, branch2, t_joint, t_joint + path2.t_end)
@@ -399,14 +398,13 @@ def glued_endpoint(joint: SuperPoint, end2: SuperPoint) -> SuperPoint:
     return end2.compose(joint)
 
 
-def reparametrize(path: SuperPath, r: Curve, new_t_end: float,
-                  samples: int = 33) -> SuperPath:
+def reparametrize(path: SuperPath, r: Curve, new_t_end: float) -> SuperPath:
     """Precompose with the distribution-preserving family (r(u), sqrt(r'(u)) eta).
 
     ``r`` must be strictly increasing on [0, new_t_end] (checked on samples)
     and is expected to fix 0.
     """
-    us = np.linspace(0.0, new_t_end, samples)
+    us = np.linspace(0.0, new_t_end, _MONOTONE_SAMPLES)
     v = r.derivative().sample(us)
     if np.any(v[1:]):
         raise OrientationError("reparametrization must be real-valued")

@@ -7,8 +7,9 @@ algebra, scipy integrators for reference ODE solves, sympy for
 polynomial derivatives, for odd flows the theta-adjoined defining
 equation in place of the package's route through X^2, for path
 substitution one composition (one soul series) per curve in place of the
-package's shared table, and for the march the step-by-step RK4 loop in
-place of the package's pairwise product of step maps.
+package's shared table, for the march the step-by-step RK4 loop in
+place of the package's pairwise product of step maps, and for the endpoint
+a separate chain of stencil passes per derivative order.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def transport_oracle(field, end_body: float, variant: str = "D",
     split = field.row_split
 
     def rhs(t, y):
-        Mt = interpolate_stack(grid, M, t)
+        Mt = interpolate_stack(grid, M, [t])[0]
         flat = flatten_graded_matrix(n, Mt, split, split)
         return (flat @ y.reshape(flat.shape[1], -1)).reshape(-1)
 
@@ -458,10 +459,62 @@ def substituted_oracle(path, g, rho, tau, e, t_end):
 # -- field values at S-points -------------------------------------------------------
 
 
+def fd_jet(grid, stack, node: int, k: int) -> np.ndarray:
+    """The k-th time derivative of a node stack at one node: its own chain
+    of k fourth-order stencil passes over the whole stack, read at the node."""
+    from supertransport.superfield import fd4_stack
+
+    for _ in range(k):
+        stack = fd4_stack(stack, grid.h)
+    return stack[node]
+
+
+def taylor_at_node(grid, stack, t) -> np.ndarray:
+    """A node stack at an even time whose body is a grid node: the
+    terminating Taylor series there, each order from :func:`fd_jet`."""
+    from supertransport.grassmann import soul_series
+
+    node = grid.index_of(t.body)
+    return stack[node] + soul_series(t.n, t.soul().comps, lambda k: fd_jet(grid, stack, node, k))
+
+
+def endpoint_at_node(field, end, variant: str = "D") -> np.ndarray:
+    """The component stack of ``solve_parallel(field, end)`` at an endpoint
+    whose body is a grid node i1: the package's twisted march to i1, then
+    the Taylor tail of X' = M X by the Leibniz rule with M^(j) from
+    :func:`fd_jet` at i1, and the theta part -C X with C from
+    :func:`taylor_at_node`."""
+    from supertransport import transport
+    from supertransport.grassmann import (
+        graded_mul_stacks, mul_stacks, scale_stack, sign_twist, soul_series, split_parities)
+
+    n, grid = field.n, field.grid
+    i0, i1 = grid.index_of(0.0), grid.index_of(end.t.body)
+    direction = 2 if i1 >= i0 else -2
+    a, b = field.a[:, :, None], field.b[:, :, None]
+    M = transport._reduced_matrix_stacks(n, a, b, field.row_split, variant)
+    X = transport._ordered_product(n, transport._step_maps(
+        n, M, np.arange(i0, i1, direction), direction // 2, direction * grid.h))
+    x_derivs = [X]
+
+    def x_derivative(k):
+        acc = np.zeros_like(X)
+        for j in range(k):
+            acc = acc + math.comb(k - 1, j) * mul_stacks(n, fd_jet(grid, M, i1, j),
+                                                         x_derivs[k - 1 - j])
+        x_derivs.append(acc)
+        return acc
+
+    rows = split_parities(field.row_split)
+    X = sign_twist(n, X + soul_series(n, end.t.soul().comps, x_derivative), rows)
+    B = -graded_mul_stacks(n, taylor_at_node(grid, a, end.t), X, rows, rows)
+    return (X + scale_stack(n, end.theta.comps, B, side="left"))[:, 0]
+
+
 def taylor_at(field, which: str, t):
     """The theta^0 ("a") or theta^1 ("b") part of a SuperField at an even
-    time with nilpotent soul, by the terminating Taylor series over its
-    grid derivatives."""
+    time with nilpotent soul whose body is a grid node, by the package's
+    terminating Taylor series around that node."""
     from supertransport.grassmann import GradedMatrix
     from supertransport.superfield import taylor_stack_at
 

@@ -265,6 +265,34 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "config", "message": "flow init needs 2 coordinates"}
 
+    @pytest.mark.parametrize("command, config, edit", [
+        ("flow", "flow_demo.json", lambda cfg: cfg["flow"].update(init=[0.5, 0.5])),
+        ("transport", "default.json", lambda cfg: cfg["path"].update(eta=[0.5, 0.5])),
+        ("transport", "default.json", lambda cfg: cfg["endpoint"].update(theta=0.5)),
+        # an odd coordinate's eta is even
+        ("transport", ODD_CHART, lambda cfg: cfg["path"].update(eta=[{"1": 0.5}, {"2": 0.6}])),
+    ], ids=["flow-init", "path-eta", "endpoint-theta", "odd-coordinate-eta"])
+    def test_values_of_the_wrong_parity_exit_1(self, tmp_path, capsys, command, config, edit):
+        # each exited 2 as a numerical error, from the library's parity checks
+        cfg = json.loads(json.dumps(config) if isinstance(config, dict)
+                         else (CONFIGS / config).read_text())
+        edit(cfg)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(bad), "--steps", "8"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and "wrong parity" in err["message"]
+
+    def test_library_parity_error_exit_2(self, tmp_path, capsys):
+        # a 0-form term with an even block is found by the library, not the CLI
+        cfg = json.loads((CONFIGS / "default.json").read_text())
+        cfg["superconnection"]["forms"][0]["components"][""][0]["matrix"] = [[0.3, 0.4], [0.5, 0.0]]
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli(["transport", "--config", str(bad), "--steps", "8"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "numerical"
+
     @pytest.mark.parametrize("command", ["transport", "sweep", "verify"])
     def test_theta_needs_room_above_n_exit_1(self, tmp_path, capsys, monkeypatch, command):
         # pullbacks along a path with coordinates, and so verify, adjoin theta

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertransport.errors import ParityError, ResolutionError
+from supertransport.errors import DomainError, ParityError, ResolutionError
 from supertransport.grassmann import GrassmannElement, Parity, scale_stack, total_parities
 from supertransport.superfield import (
     Grid,
@@ -12,6 +12,7 @@ from supertransport.superfield import (
     SuperPoint,
     fd4_stack,
     interpolate_stack,
+    taylor_stack_at,
 )
 
 from reference import taylor_at, value_at
@@ -168,6 +169,13 @@ class TestEvaluation:
         assert abs(val.comps[0, 0, 0] - 0.25) < 1e-10
         assert abs(val.comps[3, 0, 0] - 0.3) < 1e-9  # 2 t soul = 0.3
 
+    def test_taylor_at_a_body_off_the_nodes_raises(self):
+        grid = Grid(0.0, 0.01, 101)
+        psi = scalar_field(2, grid, lambda t: [t * t, 0, 0, 0], lambda t: [0, 0, 0, 0])
+        t = GrassmannElement.from_terms(2, {(): 0.505, (1, 2): 0.3})
+        with pytest.raises(DomainError, match="not a node"):
+            taylor_stack_at(grid, psi.a, t)
+
     def test_value_at_point(self):
         grid = Grid(0.0, 0.01, 101)
         psi = scalar_field(2, grid, lambda t: [t, 0, 0, 0], lambda t: [1.0, 0, 0, 0])
@@ -233,7 +241,7 @@ class TestBatchedFieldOps:
         G = GrassmannElement
         shift = SuperPoint(G.scalar(n, 0.3), G.generator(n, 1) * 0.4 + G.generator(n, 3) * 0.2)
         da, db = (fd4_stack(s, grid.h) for s in (field.a, field.b))
-        # batched and scalar interpolation sum the same five terms in another order
+        # the field's batched products and these per-time ones may sum in another order
         tol = 8 * np.finfo(float).eps * max(np.abs(st).max() for st in (field.a, field.b, da, db))
         cases = [(field.right_translated(shift, Grid(0.0, 1e-2, 61)), 1.0, shift.t.body,
                   shift.theta, shift.theta, 1.0),
@@ -241,7 +249,7 @@ class TestBatchedFieldOps:
         for got, sign, shift_body, rho, tau, e in cases:
             for k, u in enumerate(got.grid.times()):
                 s = sign * u + shift_body
-                a_s, b_s, da_s, db_s = (interpolate_stack(grid, st, s)
+                a_s, b_s, da_s, db_s = (interpolate_stack(grid, st, [s])[0]
                                         for st in (field.a, field.b, da, db))
                 want_a = a_s + scale_stack(n, tau.comps, b_s)
                 want_b = (scale_stack(n, rho.comps, da_s) + e * b_s

@@ -56,7 +56,12 @@ from supertransport.verify import (
     random_superconnection,
 )
 
-from reference import rk4_march_oracle, solution_matrix_to_stack, transport_oracle
+from reference import (
+    endpoint_at_node,
+    rk4_march_oracle,
+    solution_matrix_to_stack,
+    transport_oracle,
+)
 
 G = GrassmannElement
 
@@ -1011,3 +1016,52 @@ class TestSmoothOracleCoefficients:
         with pytest.raises(ParityError):
             TransportData(self.connection(True),
                           GrassmannPoly(1, 0, {(): PolyMap.constant(1, self.DIAG0)}, rank=self.rank))
+
+
+class TestEndpointAtItsNode:
+    """The endpoint's body is a grid node, and the endpoint is read there."""
+
+    @pytest.fixture
+    def interpolation_calls(self, monkeypatch):
+        # every module binding of the interpolators, as the library's own
+        # imports reach them
+        import sys
+        from supertransport import superfield
+        calls = []
+        for name in ("interpolate_stack", "lagrange_weights"):
+            original = getattr(superfield, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("supertransport")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("problem", ["chart_problem", "point_problem"])
+    def test_no_interpolation_on_the_solver_path(self, workloads, interpolation_calls, problem):
+        path, sc, end = getattr(workloads, problem)(np.random.default_rng(1))[:3]
+        assert np.any(end.t.soul().comps) and np.any(end.theta.comps)
+        lifted, data = lift_problem(path, sc)
+        sp(path, sc, end, steps=6)
+        ps(lifted, data, end, steps=6)
+        reverse_transport(path, sc, end, steps=6)
+        adiabatic_sweep(path, sc, [1.0, 0.25], end, steps=6)
+        assert interpolation_calls == []
+
+    @pytest.mark.parametrize("variant", ["D", "Q"])
+    def test_endpoint_is_the_fd_chain_at_its_node(self, workloads, variant):
+        # 7 steps: h = 1/14 is not a dyadic fraction
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        lifted, data = lift_problem(path, sc)
+        grid = Grid.over(0.0, end.t.body, 15)
+        if variant == "D":
+            got = sp(path, sc, end, steps=7)
+        else:
+            lifted = lifted.reversed_through(end)
+            got = reverse_transport(path, sc, end, steps=7)
+        field = connection_coefficient(lifted, data.connection, grid, variant, data.endomorphism)
+        assert np.any(got.matrix.comps[1:])
+        assert np.array_equal(got.matrix.comps, endpoint_at_node(field, end, variant))
