@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -38,93 +37,82 @@ from .transport import DEFAULT_STEPS, adiabatic_sweep, sp
 from .verify import run_suite
 
 
-# a number, or an object of numbers under monomial keys (the key patterns
-# apply to objects only)
-_GRASSMANN_VALUE = {"type": ["number", "object"], "additionalProperties": False,
-                    "patternProperties": {r"^(\d+(\|\d+)*)?$": {"type": "number"}}}
+_REQUIRED = object()
 
-_NUMBER = {"type": "number"}
-_NUMBERS = {"type": "array", "items": _NUMBER}
-_GRASSMANN_LIST = {"type": "array", "items": _GRASSMANN_VALUE}
-_GRASSMANN_TABLES = {"type": "array", "items": _GRASSMANN_LIST}
-_ENDPOINT = {"type": "object", "properties": {"t": _GRASSMANN_VALUE, "theta": _GRASSMANN_VALUE}}
 
-_POLY_TERM = {
-    "type": "object",
-    "properties": {
-        "exponents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "matrix": {"type": "array", "items": _NUMBERS},
-        "value": _NUMBER,
-        "odd_indices": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-    "required": ["exponents"],
-    "additionalProperties": False,
-}
-_POLY_LISTS = {"type": "array", "items": {"type": "array", "items": _POLY_TERM}}
+def _invalid(path, value, what: str) -> ConfigError:
+    """The error for a value that its reader does not take: a config value at
+    its key path (a list), or a command-line option (its name)."""
+    where = path if isinstance(path, str) else f"config value at {path}"
+    return ConfigError(f"{where}: {value!r} {what}")
 
-CONFIG_SCHEMA = {
-    # draft 7 has every keyword used here, and its metaschema is checked
-    # several times faster than the 2020-12 default, once per CLI run
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema": {"const": 1},
-        "dims": {
-            "type": "object",
-            "properties": {
-                "p": {"type": "integer", "minimum": 0},
-                "q": {"type": "integer", "minimum": 0},
-                "N": {"type": "integer", "minimum": 1, "maximum": MAX_GENERATORS},
-                "rank_even": {"type": "integer", "minimum": 0},
-                "rank_odd": {"type": "integer", "minimum": 0},
-            },
-            "required": ["p", "N", "rank_even", "rank_odd"],
-        },
-        "superconnection": {
-            "type": "object",
-            "properties": {
-                "connection": _POLY_LISTS,
-                "forms": {"type": "array", "items": {
-                    "type": "object",
-                    "properties": {
-                        "degree": {"type": "integer", "minimum": 0},
-                        "components": {"type": "object",
-                                       "additionalProperties": {"type": "array", "items": _POLY_TERM}},
-                    },
-                    "required": ["degree", "components"],
-                }},
-            },
-        },
-        # every field any path kind reads
-        "path": {"type": "object", "required": ["kind"], "properties": {
-            "kind": {"type": "string"}, "t_end": _NUMBER, "radius": _NUMBER, "omega": _NUMBER,
-            "phase": _NUMBER, "t0": _NUMBER, "h": _NUMBER, "nodes": {"type": "integer"},
-            "start": _GRASSMANN_LIST, "velocity": _GRASSMANN_LIST, "eta": _GRASSMANN_LIST,
-            "even": _GRASSMANN_TABLES, "theta": _GRASSMANN_TABLES, "center": _NUMBERS,
-            "plane": {"type": "array", "items": {"type": "integer"}}}},
-        "endpoint": _ENDPOINT,
-        "t_end": _NUMBER,
-        "solver": {"type": "object", "properties": {"steps": {"type": "integer", "minimum": 2}}},
-        "sweep": {"type": "object",
-                  "properties": {"lambdas": {"type": "array",
-                                             "items": {"type": "number", "exclusiveMinimum": 0}}}},
-        "flow": {"type": "object", "properties": {
-            "parity": {"type": "string"}, "coefficients": _POLY_LISTS, "init": _GRASSMANN_LIST,
-            "endpoint": _ENDPOINT, "t_end": _NUMBER, "steps": {"type": "integer", "minimum": 2}}},
-        "verify": {"type": "object",
-                   "properties": {"seed": {"type": "integer"},
-                                  "steps": {"type": "integer", "minimum": 10}}},
-    },
-    "required": ["schema", "dims"],
-}
+
+def _number(value, path) -> float:
+    """A JSON number that a float holds; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _invalid(path, value, "is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _invalid(path, value, "is too large for a float") from None
+
+
+def _integer(value, path, low: int | None = None, high: int | None = None) -> int:
+    """A JSON integer in low..high; a float of integral value, such as 2.0, counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _invalid(path, value, "is not an integer")
+    if low is not None and value < low:
+        raise _invalid(path, value, f"is less than the minimum of {low}")
+    if high is not None and value > high:
+        raise _invalid(path, value, f"is greater than the maximum of {high}")
+    return value
+
+
+def _entries(value, path) -> list[tuple]:
+    """A JSON array as (entry, key path) pairs."""
+    if not isinstance(value, list):
+        raise _invalid(path, value, "is not an array")
+    return [(v, path + [i]) for i, v in enumerate(value)]
+
+
+def _section(value, path) -> _ConfigSection:
+    """A JSON object, which takes its key path here for its readers' errors."""
+    if not isinstance(value, _ConfigSection):
+        raise _invalid(path, value, "is not an object")
+    value.path = path
+    return value
 
 
 class _ConfigSection(dict):
-    """A JSON object read from the configuration: a missing key is a
-    configuration error, unlike a KeyError raised inside the library."""
+    """A JSON object read from the configuration.  Its readers check each
+    value where the CLI reads it: a missing key, or a value of the wrong type
+    or range, is a configuration error, unlike a KeyError raised inside the
+    library.  Keys that no reader asks for are ignored."""
+
+    path: list = []
 
     def __missing__(self, key):
         raise ConfigError(f"configuration lacks the key {key!r}")
+
+    def at(self, key, default=_REQUIRED) -> tuple:
+        """The value under key (the default when it is absent) and its key path."""
+        return (self[key] if default is _REQUIRED else self.get(key, default)), self.path + [key]
+
+    def integer(self, key, default=_REQUIRED, low: int | None = None,
+                high: int | None = None) -> int:
+        return _integer(*self.at(key, default), low, high)
+
+    def number(self, key, default=_REQUIRED) -> float:
+        return _number(*self.at(key, default))
+
+    def entries(self, key, default=_REQUIRED) -> list[tuple]:
+        return _entries(*self.at(key, default))
+
+    def section(self, key, required: bool = False) -> _ConfigSection:
+        """The object under key; an optional one that is absent reads as empty."""
+        return _section(*self.at(key, _REQUIRED if required else _ConfigSection()))
 
 
 @dataclass
@@ -140,25 +128,11 @@ class Dims:
         return [Parity.EVEN] * self.p + [Parity.ODD] * self.q
 
 
-@functools.cache
-def _config_validator():
-    """Validator for CONFIG_SCHEMA; the schema itself is checked once."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
-
-
-def _validate(config: dict):
-    # the error jsonschema.validate would raise, from the prebuilt validator
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
-    if exc is not None:
-        raise ConfigError(f"config schema violation at {list(exc.absolute_path)}: {exc.message}")
-
-
-def _dims(config: dict) -> Dims:
-    d = config["dims"]
-    return Dims(int(d["p"]), int(d.get("q", 0)), int(d["N"]),
-                (int(d["rank_even"]), int(d["rank_odd"])))
+def _dims(config: _ConfigSection) -> Dims:
+    d = config.section("dims", required=True)
+    return Dims(d.integer("p", low=0), d.integer("q", 0, low=0),
+                d.integer("N", low=1, high=MAX_GENERATORS),
+                (d.integer("rank_even", low=0), d.integer("rank_odd", low=0)))
 
 
 def _key_indices(key: str, top: int) -> tuple[int, ...]:
@@ -170,44 +144,53 @@ def _key_indices(key: str, top: int) -> tuple[int, ...]:
         raise ConfigError(str(exc)) from None
 
 
-def _grassmann(value, n: int, parity: Parity) -> GrassmannElement:
-    """A configured Grassmann number for a slot of the given parity; a value
-    of the other parity is a configuration error."""
-    if isinstance(value, (int, float)):
-        elem = GrassmannElement.scalar(n, float(value))
-    else:
-        elem = GrassmannElement.from_terms(n, {_key_indices(k, n): float(c)
+def _grassmann(value, path, n: int, parity: Parity) -> GrassmannElement:
+    """A configured Grassmann number, a number or an object of numbers under
+    monomial keys, for a slot of the given parity; a value of the other
+    parity is a configuration error."""
+    if isinstance(value, _ConfigSection):
+        elem = GrassmannElement.from_terms(n, {_key_indices(k, n): _number(c, path + [k])
                                                for k, c in value.items()})
+    else:
+        elem = GrassmannElement.scalar(n, _number(value, path))
     if not (elem.is_odd() if parity is Parity.ODD else elem.is_even()):
         raise ConfigError(f"value {value!r} has the wrong parity: its slot takes "
                           f"{parity.name.lower()} values")
     return elem
 
 
-def _superpoint(t, theta, n: int) -> SuperPoint:
-    return SuperPoint(_grassmann(t, n, Parity.EVEN), _grassmann(theta, n, Parity.ODD))
+def _superpoint(t: tuple, theta: tuple, n: int) -> SuperPoint:
+    """The point at the (value, key path) pairs t and theta."""
+    return SuperPoint(_grassmann(*t, n, Parity.EVEN), _grassmann(*theta, n, Parity.ODD))
 
 
-def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
+_TERM_KEYS = frozenset({"exponents", "matrix", "value", "odd_indices"})
+
+
+def _poly_terms(terms, path, p: int, q: int, rank=None) -> GrassmannPoly:
     """A list of polynomial terms as a function on R^{p|q}: scalar-valued
     ("value") without a rank, (r x r)-valued ("matrix", or "value" times the
     identity) with one.  Equal monomials add up."""
     shape = () if rank is None else (sum(rank),) * 2
     by_odd: dict[tuple[int, ...], dict] = {}
-    for term in terms:
-        expo = tuple(int(e) for e in term["exponents"])
+    for term in (_section(*entry) for entry in _entries(terms, path)):
+        extra = sorted(set(term) - _TERM_KEYS)
+        if extra:
+            raise ConfigError(f"config value at {term.path} has unknown keys {extra}")
+        expo = tuple(_integer(*e, low=0) for e in term.entries("exponents"))
         if len(expo) != p:
             raise ConfigError(f"exponent vector {expo} does not match p={p}")
-        odd = tuple(int(i) - 1 for i in term.get("odd_indices", []))
+        odd = tuple(_integer(*i, low=1) - 1 for i in term.entries("odd_indices", []))
         if list(odd) != sorted(set(odd)) or any(j >= q for j in odd):
             raise ConfigError(f"odd indices {[j + 1 for j in odd]} must increase strictly "
                               f"within 1..{q}")
         if "matrix" in term:
-            if len({len(row) for row in term["matrix"]}) > 1:
+            rows = [[_number(*c) for c in _entries(*row)] for row in term.entries("matrix")]
+            if len({len(row) for row in rows}) > 1:
                 raise ConfigError("matrix rows differ in length")
-            coeff = np.asarray(term["matrix"], dtype=float)
+            coeff = np.asarray(rows, dtype=float)
         else:
-            coeff = float(term.get("value", 0.0)) * (np.eye(shape[0]) if shape else 1.0)
+            coeff = term.number("value", 0.0) * (np.eye(shape[0]) if shape else 1.0)
         if np.shape(coeff) != shape:
             raise ConfigError(f"matrix shape {coeff.shape} does not match {shape}")
         slot = by_odd.setdefault(odd, {})
@@ -216,26 +199,27 @@ def _poly_terms(terms: list, p: int, q: int, rank=None) -> GrassmannPoly:
     return GrassmannPoly(p, q, gp_terms or {(): PolyMap.zero(p, shape)}, rank=rank)
 
 
-def _connection_data(config: dict, dims: Dims) -> Connection | Superconnection:
+def _connection_data(config: _ConfigSection, dims: Dims) -> Connection | Superconnection:
     """The configured connection, paired with its form part as a
     Superconnection over an ordinary chart; a chart with odd coordinates
     (q > 0) takes the bare Connection and no forms."""
-    sc_cfg = config.get("superconnection", {})
-    conn_cfg = sc_cfg.get("connection")
-    if conn_cfg is None:
+    sc_cfg = config.section("superconnection")
+    if "connection" not in sc_cfg:
         conn = Connection.zero(dims.p, dims.q, dims.rank)
     else:
-        if len(conn_cfg) != dims.p + dims.q:
+        lists = sc_cfg.entries("connection")
+        if len(lists) != dims.p + dims.q:
             raise ConfigError(f"connection needs {dims.p + dims.q} coefficient lists")
-        coeffs = [_poly_terms(terms, dims.p, dims.q, dims.rank) for terms in conn_cfg]
+        coeffs = [_poly_terms(*terms, dims.p, dims.q, dims.rank) for terms in lists]
         conn = Connection(dims.p, dims.q, dims.rank, coeffs)
     forms = []
-    for form_cfg in sc_cfg.get("forms", []):
-        degree = int(form_cfg["degree"])
+    for form_cfg in (_section(*entry) for entry in sc_cfg.entries("forms", [])):
+        degree = form_cfg.integer("degree", low=0)
+        components = form_cfg.section("components", required=True)
         comps = {}
-        for key, terms in form_cfg["components"].items():
+        for key in components:
             idx = _key_indices(key, dims.p)
-            poly = _poly_terms(terms, dims.p, 0, dims.rank)
+            poly = _poly_terms(*components.at(key), dims.p, 0, dims.rank)
             comps[idx] = poly.terms.get((), PolyMap.zero(dims.p, (sum(dims.rank),) * 2))
         endo_parity = Parity((1 + degree) % 2)
         forms.append(DifferentialForm(degree, dims.p, dims.rank, endo_parity, comps))
@@ -246,15 +230,15 @@ def _connection_data(config: dict, dims: Dims) -> Connection | Superconnection:
     return conn
 
 
-def _path(config: dict, dims: Dims) -> SuperPath:
-    cfg = config.get("path")
-    if cfg is None:
+def _path(config: _ConfigSection, dims: Dims) -> SuperPath:
+    if "path" not in config:
         if dims.p + dims.q:
             raise ConfigError("a path section is required for charts with coordinates")
-        return SuperPath(0, 0, dims.n, [], [], float(config.get("t_end", 1.0)))
+        return SuperPath(0, 0, dims.n, [], [], config.number("t_end", 1.0))
+    cfg = config.section("path")
     kind = cfg["kind"]
     n = dims.n
-    t_end = float(cfg.get("t_end", 1.0))
+    t_end = cfg.number("t_end", 1.0)
     ncoords = dims.p + dims.q
 
     # x_i(t) + theta*y_i(t): x_i has the parity of coordinate i, y_i the other
@@ -262,86 +246,99 @@ def _path(config: dict, dims: Dims) -> SuperPath:
     y_par = [par.flipped() for par in x_par]
 
     def gvals(key, parities):
-        vals = cfg.get(key, [0.0] * ncoords)
+        vals = cfg.entries(key, [0.0] * ncoords)
         if len(vals) != ncoords:
             raise ConfigError(f"path field {key!r} needs {ncoords} entries")
-        return [_grassmann(v, n, par) for v, par in zip(vals, parities)]
+        return [_grassmann(*v, n, par) for v, par in zip(vals, parities)]
+
+    def gtables(key, parities):
+        tables = cfg.entries(key)
+        if len(tables) != ncoords:
+            raise ConfigError(f"{kind} path field {key!r} needs {ncoords} lists")
+        return [[_grassmann(*v, n, par) for v in _entries(*tab)]
+                for tab, par in zip(tables, parities)]
 
     if kind == "line":
         return SuperPath.line(n, gvals("start", x_par), gvals("velocity", x_par),
                               gvals("eta", y_par), t_end, p=dims.p, q=dims.q)
     if kind == "polynomial":
-        if len(cfg["even"]) != ncoords or len(cfg["theta"]) != ncoords:
-            raise ConfigError(f"polynomial path needs {ncoords} coefficient lists")
-        even = [[_grassmann(c, n, par) for c in coeffs] for coeffs, par in zip(cfg["even"], x_par)]
-        theta = [[_grassmann(c, n, par) for c in coeffs]
-                 for coeffs, par in zip(cfg["theta"], y_par)]
-        return SuperPath.from_polynomials(n, even, theta, t_end, p=dims.p, q=dims.q)
+        return SuperPath.from_polynomials(n, gtables("even", x_par), gtables("theta", y_par),
+                                          t_end, p=dims.p, q=dims.q)
     if kind == "circle":
         if dims.q:
             raise ConfigError("circle paths target ordinary charts")
-        plane = tuple(cfg.get("plane", (0, 1)))
+        plane = tuple(_integer(*e) for e in cfg.entries("plane", [0, 1]))
         if len(plane) != 2 or plane[0] == plane[1] or not set(plane) <= set(range(dims.p)):
             raise ConfigError(f"circle plane {plane} is not 2 distinct axes in 0..{dims.p - 1}")
-        return SuperPath.circle(n, [float(c) for c in cfg["center"]],
-                                float(cfg["radius"]), float(cfg["omega"]),
+        return SuperPath.circle(n, [_number(*c) for c in cfg.entries("center")],
+                                cfg.number("radius"), cfg.number("omega"),
                                 gvals("eta", y_par), t_end, plane=plane,
-                                phase=float(cfg.get("phase", 0.0)))
+                                phase=cfg.number("phase", 0.0))
     if kind == "sampled":
-        grid = Grid(float(cfg["t0"]), float(cfg["h"]), int(cfg["nodes"]))
-        a_tables = cfg["even"]
-        b_tables = cfg["theta"]
-        if len(a_tables) != ncoords or len(b_tables) != ncoords:
-            raise ConfigError(f"sampled path needs {ncoords} value tables")
+        grid = Grid(cfg.number("t0"), cfg.number("h"), cfg.integer("nodes"))
+        a_tables = gtables("even", x_par)
+        b_tables = gtables("theta", y_par)
         if any(len(tab) != grid.nodes for tab in a_tables + b_tables):
             raise ConfigError(f"sampled path tables need {grid.nodes} values each")
-        a = [Curve.from_samples(n, grid, [_grassmann(v, n, par) for v in tab])
-             for tab, par in zip(a_tables, x_par)]
-        b = [Curve.from_samples(n, grid, [_grassmann(v, n, par) for v in tab])
-             for tab, par in zip(b_tables, y_par)]
+        a = [Curve.from_samples(n, grid, tab) for tab in a_tables]
+        b = [Curve.from_samples(n, grid, tab) for tab in b_tables]
         return SuperPath(dims.p, dims.q, n, a, b, t_end)
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
-def _endpoint(config: dict, dims: Dims) -> SuperPoint:
-    cfg = config.get("endpoint")
-    if cfg is None:
-        return SuperPoint.at(dims.n, float(config.get("t_end", 1.0)))
-    return _superpoint(cfg.get("t", 1.0), cfg.get("theta", 0.0), dims.n)
+def _endpoint(config: _ConfigSection, dims: Dims) -> SuperPoint:
+    if "endpoint" not in config:
+        return SuperPoint.at(dims.n, config.number("t_end", 1.0))
+    cfg = config.section("endpoint")
+    return _superpoint(cfg.at("t", 1.0), cfg.at("theta", 0.0), dims.n)
 
 
-def _vector_field(cfg: dict, dims: Dims) -> SuperVectorField:
-    parity = Parity.ODD if cfg.get("parity") == "odd" else Parity.EVEN
-    coeff_cfg = cfg["coefficients"]
+def _vector_field(cfg: _ConfigSection, dims: Dims) -> SuperVectorField:
+    parity = cfg.get("parity", "even")
+    if parity not in ("even", "odd"):
+        raise _invalid(cfg.path + ["parity"], parity, 'is not "even" or "odd"')
+    coeff_cfg = cfg.entries("coefficients")
     if len(coeff_cfg) != dims.p + dims.q:
         raise ConfigError(f"vector field needs {dims.p + dims.q} coefficients")
-    coeffs = [_poly_terms(terms, dims.p, dims.q) for terms in coeff_cfg]
-    return SuperVectorField(dims.p, dims.q, parity, coeffs)
+    coeffs = [_poly_terms(*terms, dims.p, dims.q) for terms in coeff_cfg]
+    return SuperVectorField(dims.p, dims.q, Parity.ODD if parity == "odd" else Parity.EVEN,
+                            coeffs)
+
+
+def _integer_option(args, cfg: _ConfigSection, key: str, default: int, low: int) -> int:
+    """The section's integer under key, or the --key option when given; both
+    are held to the same minimum."""
+    if getattr(args, key) is None:
+        return cfg.integer(key, default, low=low)
+    return _integer(getattr(args, key), f"--{key}", low=low)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_transport(config: dict, args) -> dict:
+def _cmd_transport(config: _ConfigSection, args) -> dict:
     dims = _dims(config)
     data = _connection_data(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
-    steps = args.steps or int(config.get("solver", {}).get("steps", DEFAULT_STEPS))
+    steps = _integer_option(args, config.section("solver"), "steps", DEFAULT_STEPS, 2)
     tm = sp(path, data, end, steps=steps)
     return {"result": "transport", "map": tm.to_json_dict()}
 
 
-def _cmd_sweep(config: dict, args) -> dict:
+def _cmd_sweep(config: _ConfigSection, args) -> dict:
     dims = _dims(config)
     if dims.q:
         raise ConfigError("sweep scales a form part, so it needs an ordinary chart (q = 0)")
     sc = _connection_data(config, dims)
     path = _path(config, dims)
     end = _endpoint(config, dims)
-    steps = args.steps or int(config.get("solver", {}).get("steps", DEFAULT_STEPS))
-    lambdas = config.get("sweep", {}).get("lambdas", [2.0 ** -k for k in range(7)])
-    entries, limit = adiabatic_sweep(path, sc, lambdas, end, steps=steps)
+    steps = _integer_option(args, config.section("solver"), "steps", DEFAULT_STEPS, 2)
+    lambdas = config.section("sweep").entries("lambdas", [2.0 ** -k for k in range(7)])
+    for lam, where in lambdas:
+        if _number(lam, where) <= 0:
+            raise _invalid(where, lam, "is not greater than 0")
+    entries, limit = adiabatic_sweep(path, sc, [lam for lam, _ in lambdas], end, steps=steps)
     return {
         "result": "sweep",
         "limit": limit.to_json_dict(),
@@ -352,25 +349,24 @@ def _cmd_sweep(config: dict, args) -> dict:
     }
 
 
-def _cmd_flow(config: dict, args) -> dict:
-    cfg = config.get("flow")
-    if cfg is None:
-        raise ConfigError("flow subcommand needs a flow section")
+def _cmd_flow(config: _ConfigSection, args) -> dict:
+    cfg = config.section("flow", required=True)
     dims = _dims(config)
     field = _vector_field(cfg, dims)
-    if len(cfg["init"]) != dims.p + dims.q:
+    init = cfg.entries("init")
+    if len(init) != dims.p + dims.q:
         raise ConfigError(f"flow init needs {dims.p + dims.q} coordinates")
-    init = [_grassmann(v, dims.n, par) for v, par in zip(cfg["init"], dims.parities)]
-    steps = args.steps or int(cfg.get("steps", DEFAULT_STEPS))
+    init = [_grassmann(*v, dims.n, par) for v, par in zip(init, dims.parities)]
+    steps = _integer_option(args, cfg, "steps", DEFAULT_STEPS, 2)
+    t_end = cfg.number("t_end", 1.0)
     if field.parity is Parity.ODD:
-        end_cfg = cfg.get("endpoint", {})
-        end = _superpoint(end_cfg.get("t", cfg.get("t_end", 1.0)), end_cfg.get("theta", 0.0),
-                          dims.n)
+        end_cfg = cfg.section("endpoint")
+        end = _superpoint(end_cfg.at("t", t_end), end_cfg.at("theta", 0.0), dims.n)
         values = flow_odd(field, init, end, steps=steps)
         return {"result": "flow_odd",
                 "endpoint": end.to_json_dict(),
                 "value": [v.to_json_dict() for v in values]}
-    traj = flow_even(field, init, float(cfg.get("t_end", 1.0)), steps)
+    traj = flow_even(field, init, t_end, steps)
     out = args.out or "trajectory.csv"
     traj.to_csv(out)
     return {"result": "flow_even", "csv": out, "nodes": len(traj.times)}
@@ -383,10 +379,10 @@ def _margin(r) -> float:
     return 0.0 if r.passed else math.inf
 
 
-def _cmd_verify(config: dict, args) -> dict:
-    cfg = config.get("verify", {})
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    steps = args.steps or int(cfg.get("steps", 150))
+def _cmd_verify(config: _ConfigSection, args) -> dict:
+    cfg = config.section("verify")
+    seed = _integer_option(args, cfg, "seed", 0, 0)
+    steps = _integer_option(args, cfg, "steps", 150, 10)
     results = run_suite(seed=seed, steps=steps, n=_dims(config).n)
     for r in results:
         print(r.line())
@@ -398,6 +394,22 @@ def _cmd_verify(config: dict, args) -> dict:
         for r in sorted(results, key=_margin, reverse=True)[:5]:
             print(f"  margin {_margin(r):9.2e} of tolerance: {r.name}")
     return report
+
+
+def _config(filename: str | None) -> _ConfigSection:
+    """The configuration in the file, or the built-in one without a file;
+    "schema": 1 names the only format there is."""
+    if not filename:
+        return _ConfigSection(dims=_ConfigSection(p=2, q=0, N=2, rank_even=1, rank_odd=1))
+    with open(filename) as fh:
+        try:
+            config = _section(json.load(fh, object_hook=_ConfigSection), [])
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past 4300 digits
+            raise ConfigError(str(exc)) from None
+    version, path = config.at("schema")
+    if version != 1 or isinstance(version, bool):
+        raise _invalid(path, version, "is not 1, the config format version")
+    return config
 
 
 @functools.cache
@@ -429,17 +441,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh, object_hook=_ConfigSection)
-        else:
-            config = {"schema": 1, "dims": {"p": 2, "q": 0, "N": 2,
-                                            "rank_even": 1, "rank_odd": 1}}
-        _validate(config)
+        config = _config(args.config)
         handler = {"transport": _cmd_transport, "flow": _cmd_flow,
                    "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
         result = handler(config, args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)}) + "\n")
         return 1
     except SuperTransportError as exc:

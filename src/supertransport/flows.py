@@ -41,9 +41,6 @@ class Trajectory:
         return [GrassmannElement(self.n, self.states[k, i].copy())
                 for i in range(self.states.shape[1])]
 
-    def final(self) -> list[GrassmannElement]:
-        return self.state(len(self.times) - 1)
-
     def to_csv(self, path: str):
         """One column per (coordinate, Grassmann key), keys as index strings."""
         from .grassmann import indices_from_key

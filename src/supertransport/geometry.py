@@ -197,10 +197,6 @@ class Curve:
         return cls(n, sample, dfactory)
 
     @classmethod
-    def identity_map(cls, n: int) -> "Curve":
-        return cls.polynomial(n, [0.0, 1.0])
-
-    @classmethod
     def harmonic(cls, n: int, amplitude, omega: float, phase: float = 0.0,
                  offset=0.0, kind: str = "cos") -> "Curve":
         """amplitude*cos(omega t + phase) + offset (or sin)."""
@@ -336,19 +332,8 @@ class GrassmannPoly:
             raise DimensionError("rank split does not match the coefficient shape")
 
     @classmethod
-    def from_even(cls, p: int, q: int, f) -> "GrassmannPoly":
-        return cls(p, q, {(): f})
-
-    @classmethod
     def constant(cls, p: int, q: int, value) -> "GrassmannPoly":
         return cls(p, q, {(): PolyMap.constant(p, value)})
-
-    @classmethod
-    def lambda_constant(cls, p: int, q: int, value: GrassmannElement,
-                        odd_indices: tuple[int, ...] = ()) -> "GrassmannPoly":
-        """A constant coefficient in the scalar algebra times an odd monomial."""
-        return cls(p, q, {tuple(odd_indices): PolyMap.constant(p, value.comps)},
-                   lambda_n=value.n)
 
     @classmethod
     def zero(cls, p: int, q: int, shape: tuple[int, ...] = (),

@@ -597,16 +597,6 @@ class GrassmannElement:
             parts.append(f"{c:g}*{name}" if k else f"{c:g}")
         return f"G{self.n}[{' + '.join(parts) if parts else '0'}]"
 
-    # -- algebra changes ---------------------------------------------------
-
-    def promoted(self, n_new: int) -> "GrassmannElement":
-        """Embed into the algebra on ``n_new >= n`` generators."""
-        if n_new < self.n:
-            raise DimensionError("cannot demote to fewer generators")
-        comps = np.zeros(1 << n_new)
-        comps[: 1 << self.n] = self.comps
-        return GrassmannElement(n_new, comps)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict[str, float]:
@@ -1079,9 +1069,3 @@ class AlgebraMap:
         if u.n != self.n_from:
             raise DimensionError("element lives over the wrong source algebra")
         return GrassmannElement(self.n_to, self.apply_components(u.comps))
-
-    def apply_matrix(self, m: GradedMatrix) -> GradedMatrix:
-        if m.n != self.n_from:
-            raise DimensionError("matrix lives over the wrong source algebra")
-        return GradedMatrix(self.n_to, self.apply_components(m.comps), m.row_split,
-                            m.col_split, m.parity, check=False)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ParityError, ResolutionError
 from .grassmann import (
-    GradedMatrix,
     GrassmannElement,
     Parity,
     graded_mul_stacks,
@@ -239,16 +238,6 @@ class SuperField:
         self.a_parity = a_parity
         self.b_parity = b_parity
 
-    # -- node access and interpolation --------------------------------------
-
-    def a_matrix(self, k: int) -> GradedMatrix:
-        return GradedMatrix(self.n, self.a[k], self.row_split, self.col_split,
-                            self.a_parity, check=False)
-
-    def b_matrix(self, k: int) -> GradedMatrix:
-        return GradedMatrix(self.n, self.b[k], self.row_split, self.col_split,
-                            self.b_parity, check=False)
-
     # -- derivations ---------------------------------------------------------
 
     def apply_derivation(self, which: str) -> "SuperField":
@@ -329,18 +318,6 @@ class SuperField:
         self._check_same_grid(other)
         return max(float(np.max(np.abs(self.a - other.a))),
                    float(np.max(np.abs(self.b - other.b))))
-
-    def parity_residual(self) -> float:
-        """How far the stacks are from their declared parities (0 when clean)."""
-        res = 0.0
-        for stack, parity in ((self.a, self.a_parity), (self.b, self.b_parity)):
-            if parity is None:
-                continue
-            bad = total_parities(self.n, self.row_split, self.col_split) != parity
-            vals = np.abs(stack[:, bad])
-            if vals.size:
-                res = max(res, float(vals.max()))
-        return res
 
     # -- substitution ---------------------------------------------------------
 

@@ -155,7 +155,7 @@ def transport_oracle(field, end_body: float, variant: str = "D",
     n = field.n
     M = []
     for k in range(field.grid.nodes):
-        C, Dm = field.a_matrix(k), field.b_matrix(k)
+        C, Dm = node_matrices(field, k)
         epsC_C = C.parity_involution() @ C
         M.append((epsC_C - Dm if variant == "D" else Dm - epsC_C).comps)
     M = np.stack(M)
@@ -527,3 +527,33 @@ def taylor_at(field, which: str, t):
 def value_at(field, point):
     """a(t) + theta*b(t) of a SuperField at a point of R^{1|1}(S)."""
     return taylor_at(field, "a", point.t) + taylor_at(field, "b", point.t).scale_left(point.theta)
+
+
+# -- graded-matrix views of package values --------------------------------------------
+
+
+def node_matrices(field, k):
+    """A field's A and B at grid node k, as graded matrices of its declared parities."""
+    from supertransport.grassmann import GradedMatrix
+
+    return tuple(GradedMatrix(field.n, stack[k], field.row_split, field.col_split, parity,
+                              check=False)
+                 for stack, parity in ((field.a, field.a_parity), (field.b, field.b_parity)))
+
+
+def parity_residual(field) -> float:
+    """The largest entry of a field's A and B stacks off their declared parities."""
+    from supertransport.grassmann import total_parities
+
+    off = total_parities(field.n, field.row_split, field.col_split)
+    return max((float(np.abs(stack[:, off != parity]).max(initial=0.0))
+                for stack, parity in ((field.a, field.a_parity), (field.b, field.b_parity))
+                if parity is not None), default=0.0)
+
+
+def mapped_matrix(hom, m):
+    """An algebra map applied to every entry of a graded matrix."""
+    from supertransport.grassmann import GradedMatrix
+
+    return GradedMatrix(hom.n_to, hom.apply_components(m.comps), m.row_split, m.col_split,
+                        m.parity, check=False)

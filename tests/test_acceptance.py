@@ -159,7 +159,7 @@ def test_criterion_04_flow_correctness():
         init = [G.from_terms(n, {(): rng.uniform(-0.5, 0.5), (1, 2): rng.uniform(-0.2, 0.2)}),
                 G.generator(n, 1) * rng.uniform(-0.7, 0.7)]
         out0 = flow_odd(X, init, SuperPoint.at(n, 1.0), steps=256)
-        ref = flow_even(X.squared(), init, 1.0, 256).final()
+        ref = flow_even(X.squared(), init, 1.0, 256).state(-1)
         worst_sq = max(worst_sq, max((u - v).norm() for u, v in zip(out0, ref)))
     assert worst_sq <= 1e-7
     report(4, "flow correctness (group law exact; square)", worst_sq, 1e-7)
@@ -196,7 +196,7 @@ def test_criterion_05_oracle_equivalence():
         init = [G.from_terms(n, {(): rng.uniform(-0.5, 0.5), (1, 2): rng.uniform(-0.3, 0.3)}),
                 G.from_terms(n, {(): rng.uniform(-0.5, 0.5), (2, 3): rng.uniform(-0.3, 0.3)}),
                 G.generator(n, 1) * rng.uniform(-0.8, 0.8)]
-        got = np.stack([v.comps for v in flow_even(X, init, 1.0, 400).final()])
+        got = np.stack([v.comps for v in flow_even(X, init, 1.0, 400).state(-1)])
         want = flow_oracle(X, np.stack([v.comps for v in init]), 1.0, n)
         worst_flow = max(worst_flow, float(np.max(np.abs(got - want))))
     assert worst_flow <= 1e-9

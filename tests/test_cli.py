@@ -127,43 +127,33 @@ class TestErrors:
         bad.write_text(json.dumps({"schema": 2, "dims": {}}))
         assert run_cli(["transport", "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("cfg", [
-        {"schema": 2, "dims": {}},
-        {"schema": 1, "dims": {"p": "two", "N": 2, "rank_even": 1, "rank_odd": 1}},
-        {"dims": {"p": 2, "N": 2, "rank_even": 1, "rank_odd": 1}},
-    ])
-    def test_schema_violation_message(self, tmp_path, capsys, cfg):
-        import jsonschema
-        with pytest.raises(jsonschema.ValidationError) as raised:
-            jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
-        want = f"config schema violation at {list(raised.value.absolute_path)}: {raised.value.message}"
+    @pytest.mark.parametrize("cfg, message", [
+        ({"schema": 2, "dims": {}},
+         "config value at ['schema']: 2 is not 1, the config format version"),
+        ({"schema": 1, "dims": {"p": "two", "N": 2, "rank_even": 1, "rank_odd": 1}},
+         "config value at ['dims', 'p']: 'two' is not an integer"),
+        ({"dims": {"p": 2, "N": 2, "rank_even": 1, "rank_odd": 1}},
+         "configuration lacks the key 'schema'"),
+    ], ids=["cfg0", "cfg1", "cfg2"])
+    def test_schema_violation_message(self, tmp_path, capsys, cfg, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert run_cli(["transport", "--config", str(bad)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "config", "message": want}
-
-    def test_schema_checked_once(self, tmp_path, monkeypatch, capsys):
-        import jsonschema
-        cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
-        check_schema = cls.check_schema
-        calls = []
-
-        def counted(schema, *args, **kwargs):
-            calls.append(schema)
-            return check_schema(schema, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "check_schema", counted)
-        cli._config_validator.cache_clear()
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 2, "dims": {}}))
-        assert run_cli(["transport", "--config", str(bad)]) == 1
-        assert run_cli(["transport", "--config", str(CONFIGS / "point_case.json"),
-                        "--steps", "8", "--out", str(tmp_path / "map.json")]) == 0
-        assert calls == [cli.CONFIG_SCHEMA]
+        assert err == {"error": "config", "message": message}
 
     def test_missing_file_exit_1(self):
         assert run_cli(["transport", "--config", "/no/such/file.json"]) == 1
+
+    @pytest.mark.parametrize("text", [b'{"schema": 1,', b'{"schema": 1, "x": ' + b"1" * 5000 + b"}",
+                                      b'{"schema": 1, "x": "\xff"}'],
+                             ids=["not-json", "long-integer", "not-utf-8"])
+    def test_unreadable_document_exit_1(self, tmp_path, capsys, text):
+        # the last two ended in ValueError tracebacks
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert run_cli(["transport", "--config", str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
 
     def test_missing_config_key_exit_1(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "default.json").read_text())
@@ -245,14 +235,14 @@ class TestErrors:
     ], ids=["init", "steps", "term-value"])
     def test_bad_flow_fields_exit_1(self, tmp_path, capsys, edit):
         # each ended in a ValueError, TypeError or AttributeError traceback
-        # before the flow section was typed in the schema
+        # before the flow section's values were typed
         cfg = json.loads((CONFIGS / "flow_demo.json").read_text())
         edit(cfg)
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(cfg))
         assert run_cli(["flow", "--config", str(bad)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "config" and "config schema violation at ['flow'" in err["message"]
+        assert err["error"] == "config" and "config value at ['flow'" in err["message"]
 
     @pytest.mark.parametrize("init", [[0.5], [0.5, {"1": 0.5}, {"2": 0.5}]], ids=["short", "long"])
     def test_flow_init_of_the_wrong_length_exit_1(self, tmp_path, capsys, init):
@@ -296,7 +286,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["transport", "sweep", "verify"])
     def test_theta_needs_room_above_n_exit_1(self, tmp_path, capsys, monkeypatch, command):
         # pullbacks along a path with coordinates, and so verify, adjoin theta
-        # as generator N + 1; the tables keep that slot above the schema's
+        # as generator N + 1; the tables keep that slot above the CLI's
         # N <= 12, so N = 12 runs and N = 13 is rejected before any work
         class Reached(Exception):
             pass
@@ -319,13 +309,20 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(path), "--steps", "12"]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "config", "message": "config schema violation at "
+        assert err == {"error": "config", "message": "config value at "
                        "['dims', 'N']: 13 is greater than the maximum of 12"}
         assert reached == [12]
 
-    def test_schema_states_the_generator_limit(self):
-        from supertransport.grassmann import MAX_GENERATORS
-        assert cli.CONFIG_SCHEMA["properties"]["dims"]["properties"]["N"]["maximum"] == MAX_GENERATORS
+    def test_schema_states_the_generator_limit(self, tmp_path, monkeypatch, capsys):
+        # the dims reader takes its maximum from grassmann.MAX_GENERATORS
+        monkeypatch.setattr(cli, "MAX_GENERATORS", 3)
+        cfg = json.loads((CONFIGS / "point_case.json").read_text())
+        cfg["dims"]["N"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["transport", "--config", str(path), "--steps", "4"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == "config value at ['dims', 'N']: 4 is greater than the maximum of 3"
 
     @pytest.mark.parametrize("command", ["transport", "sweep"])
     def test_form_parts_need_an_ordinary_chart_exit_1(self, tmp_path, capsys, command):
@@ -539,7 +536,145 @@ def test_mutated_configs_exit_with_a_code(run):
         assert report["error"] == ("config" if code == 1 else "numerical")
 
 
+def test_cli_imports_no_jsonschema():
+    # config values are checked by the CLI's own readers
+    code = "import sys, supertransport.cli; print([m for m in sys.modules if 'jsonschema' in m])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "supertransport.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def _put(*keys, value):
+    """A config edit that sets the value at a key path."""
+    def edit(cfg):
+        functools.reduce(operator.getitem, keys[:-1], cfg)[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    """A config edit that removes the value at a key path."""
+    return lambda cfg: functools.reduce(operator.getitem, keys[:-1], cfg).pop(keys[-1])
+
+
+_CIRCLE = {"kind": "circle", "center": [0.0, 0.0], "radius": 0.5, "omega": 1.0,
+           "eta": [0.0, 0.0]}
+_SAMPLED = {"kind": "sampled", "t0": 0.0, "h": 0.25, "nodes": 5,
+            "even": [[0.0] * 5] * 2, "theta": [[0.0] * 5] * 2}
+_TERM = ("superconnection", "connection", 0, 0)
+_FLOW_TERM = ("flow", "coefficients", 0, 0)
+
+# (command, shipped config, edit, exit code): one config value per rule the
+# CLI checks where it reads the value; exit 1 is {"error": "config"}
+CONFIG_RULES = {
+    "schema-missing": ("transport", "default.json", _drop("schema"), 1),
+    "schema-2": ("transport", "default.json", _put("schema", value=2), 1),
+    "schema-true": ("transport", "default.json", _put("schema", value=True), 1),
+    "dims-missing": ("transport", "default.json", _drop("dims"), 1),
+    "dims-not-an-object": ("transport", "default.json", _put("dims", value=[2]), 1),
+    "N-0": ("transport", "default.json", _put("dims", "N", value=0), 1),
+    "N-13": ("transport", "point_case.json", _put("dims", "N", value=13), 1),
+    "N-true": ("transport", "default.json", _put("dims", "N", value=True), 1),
+    "N-string": ("transport", "default.json", _put("dims", "N", value="2"), 1),
+    "N-2.5": ("transport", "default.json", _put("dims", "N", value=2.5), 1),
+    "N-2.0-accepted": ("transport", "default.json", _put("dims", "N", value=2.0), 0),
+    "p-negative": ("transport", "point_case.json", _put("dims", "p", value=-1), 1),
+    "q-negative": ("transport", "point_case.json", _put("dims", "q", value=-1), 1),
+    "rank_even-negative": ("transport", "default.json", _put("dims", "rank_even", value=-1), 1),
+    "rank_odd-negative": ("transport", "default.json", _put("dims", "rank_odd", value=-1), 1),
+    "degree-negative": ("transport", "default.json",
+                        _put("superconnection", "forms", 0, "degree", value=-1), 1),
+    "exponent-negative": ("transport", "default.json", _put(*_TERM, "exponents", value=[-1, 0]), 1),
+    "exponent-not-an-integer": ("transport", "default.json",
+                                _put(*_TERM, "exponents", value=[0.5, 0]), 1),
+    "odd-index-0": ("flow", "flow_demo.json", _put(*_FLOW_TERM, "odd_indices", value=[0]), 1),
+    "solver-steps-1": ("transport", "default.json", _put("solver", "steps", value=1), 1),
+    "sweep-solver-steps-1": ("sweep", "default.json", _put("solver", "steps", value=1), 1),
+    "flow-steps-1": ("flow", "flow_demo.json", _put("flow", "steps", value=1), 1),
+    "verify-steps-9": ("verify", "default.json", _put("verify", "steps", value=9), 1),
+    "verify-seed-0.5": ("verify", "default.json", _put("verify", "seed", value=0.5), 1),
+    # a traceback from numpy's seeding
+    "verify-seed-negative": ("verify", "default.json", _put("verify", "seed", value=-1), 1),
+    "nodes-not-an-integer": ("transport", "default.json",
+                             _put("path", value=dict(_SAMPLED, nodes=5.5)), 1),
+    "plane-entry-not-an-integer": ("transport", "default.json",
+                                   _put("path", value=dict(_CIRCLE, plane=[0, 0.5])), 1),
+    "lambda-0": ("sweep", "default.json", _put("sweep", "lambdas", value=[1.0, 0.0]), 1),
+    "lambda-negative": ("sweep", "default.json", _put("sweep", "lambdas", value=[-0.5]), 1),
+    "lambdas-not-an-array": ("sweep", "default.json", _put("sweep", "lambdas", value=0.5), 1),
+    "path-t_end": ("transport", "default.json", _put("path", "t_end", value="x"), 1),
+    # an OverflowError traceback from float()
+    "path-t_end-beyond-a-float": ("transport", "default.json",
+                                  _put("path", "t_end", value=10 ** 400), 1),
+    "radius": ("transport", "default.json", _put("path", value=dict(_CIRCLE, radius=None)), 1),
+    "omega": ("transport", "default.json", _put("path", value=dict(_CIRCLE, omega="x")), 1),
+    "phase": ("transport", "default.json", _put("path", value=dict(_CIRCLE, phase=True)), 1),
+    "center-entry": ("transport", "default.json",
+                     _put("path", value=dict(_CIRCLE, center=[0.0, "x"])), 1),
+    "t0": ("transport", "default.json", _put("path", value=dict(_SAMPLED, t0="x")), 1),
+    "h": ("transport", "default.json", _put("path", value=dict(_SAMPLED, h=[0.25])), 1),
+    "top-t_end": ("transport", "point_case.json",
+                  lambda cfg: cfg.pop("endpoint") and cfg.update(t_end="x"), 1),
+    "flow-t_end": ("flow", "flow_demo.json", _put("flow", "t_end", value="x"), 1),
+    "matrix-entry": ("transport", "default.json", _put(*_TERM, "matrix", 0, 0, value="x"), 1),
+    "matrix-row-not-an-array": ("transport", "default.json",
+                                _put(*_TERM, "matrix", 0, value=0.2), 1),
+    "term-value": ("flow", "flow_demo.json", _put(*_FLOW_TERM, "value", value="x"), 1),
+    "kind-not-a-string": ("transport", "default.json", _put("path", "kind", value=5), 1),
+    "parity-not-a-string": ("flow", "flow_demo.json", _put("flow", "parity", value=1), 1),
+    # exited 2 as numerical: every string but "odd" was read as even
+    "parity-Odd": ("flow", "flow_demo.json", _put("flow", "parity", value="Odd"), 1),
+    "term-unknown-key": ("transport", "default.json", _put(*_TERM, "scale", value=2.0), 1),
+    "term-not-an-object": ("transport", "default.json", _put(*_TERM, value=[0, 0]), 1),
+    "form-components-not-an-object": ("transport", "default.json",
+                                      _put("superconnection", "forms", 0, "components", value=[]),
+                                      1),
+    "connection-not-an-array": ("transport", "default.json",
+                                _put("superconnection", "connection", value={}), 1),
+    "superconnection-not-an-object": ("transport", "default.json",
+                                      _put("superconnection", value=[]), 1),
+    "grassmann-coefficient": ("transport", "default.json",
+                              _put("endpoint", "theta", value={"1": "x"}), 1),
+    "grassmann-value-true": ("transport", "default.json", _put("endpoint", "t", value=True), 1),
+    "grassmann-list-not-an-array": ("transport", "default.json",
+                                    _put("path", "start", value=0.1), 1),
+    "endpoint-not-an-object": ("transport", "default.json", _put("endpoint", value=1.0), 1),
+    "solver-not-an-object": ("transport", "default.json", _put("solver", value=400), 1),
+    "flow-init-entry": ("flow", "flow_demo.json", _put("flow", "init", 0, value=[0.5]), 1),
+    "unknown-top-level-key": ("transport", "default.json", _put("comment", value="x"), 0),
+    "unknown-dims-key": ("transport", "default.json", _put("dims", "comment", value="x"), 0),
+    "unknown-path-key": ("transport", "default.json", _put("path", "comment", value="x"), 0),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_RULES)
+def test_config_rules(tmp_path, capsys, case):
+    command, name, edit, code = CONFIG_RULES[case]
+    cfg = json.loads((CONFIGS / name).read_text())
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("command, config, option, value", [
+    ("transport", "default.json", "--steps", "0"),  # fell back to the config's steps
+    ("transport", "default.json", "--steps", "-3"),  # exited 2: too few grid nodes
+    ("sweep", "default.json", "--steps", "1"),
+    ("flow", "flow_demo.json", "--steps", "1"),
+    ("verify", "default.json", "--steps", "3"),  # exited 2 with 16/17 checks passed
+    ("verify", "default.json", "--seed", "-1"),  # a traceback from numpy's seeding
+])
+def test_options_follow_the_config_rules(tmp_path, capsys, command, config, option, value):
+    argv = [command, "--config", str(CONFIGS / config), option, value,
+            "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["message"].startswith(option)

@@ -16,6 +16,11 @@ from reference import flow_oracle, gadd, gmul, gscale, odd_flow_oracle, to_compo
 G = GrassmannElement
 
 
+def lambda_constant(p, q, value, odd_indices=()):
+    """A constant coefficient in the scalar algebra of value, times an odd monomial."""
+    return GrassmannPoly(p, q, {odd_indices: PolyMap.constant(p, value.comps)}, lambda_n=value.n)
+
+
 def d_analog_field():
     """zeta d/dx + d/dzeta on R^{1|1}."""
     a_x = GrassmannPoly(1, 1, {(0,): PolyMap.constant(1, 1.0)})
@@ -34,19 +39,19 @@ class TestFlowEven:
     def test_translation_field(self):
         X = SuperVectorField(1, 0, Parity.EVEN, [GrassmannPoly.constant(1, 0, 1.0)])
         tr = flow_even(X, [G.scalar(3, 0.25)], 1.0, 16)
-        assert abs(tr.final()[0].body - 1.25) < 1e-14
+        assert abs(tr.state(-1)[0].body - 1.25) < 1e-14
 
     def test_linear_field_exponential(self):
         X = SuperVectorField(1, 0, Parity.EVEN,
-                             [GrassmannPoly.from_even(1, 0, PolyMap(1, {(1,): 1.0}))])
+                             [GrassmannPoly(1, 0, {(): PolyMap(1, {(1,): 1.0})})])
         tr = flow_even(X, [G.one(3)], 1.0, 1000)
-        assert abs(tr.final()[0].body - np.e) < 1e-8
+        assert abs(tr.state(-1)[0].body - np.e) < 1e-8
 
     def test_nilpotent_constant_field(self):
         lam = G.monomial(3, (1, 2))
-        X = SuperVectorField(1, 0, Parity.EVEN, [GrassmannPoly.lambda_constant(1, 0, lam)])
+        X = SuperVectorField(1, 0, Parity.EVEN, [lambda_constant(1, 0, lam)])
         tr = flow_even(X, [G.scalar(3, 2.0)], 1.0, 16)
-        assert tr.final()[0] == G.from_terms(3, {(): 2.0, (1, 2): 1.0})
+        assert tr.state(-1)[0] == G.from_terms(3, {(): 2.0, (1, 2): 1.0})
 
     def test_semigroup_property(self, rng):
         X = SuperVectorField(1, 1, Parity.EVEN, [
@@ -55,9 +60,9 @@ class TestFlowEven:
         ])
         n = 3
         init = [G.from_terms(n, {(): 0.5, (1, 2): 0.2}), G.generator(n, 1) * 0.6]
-        whole = flow_even(X, init, 1.0, 512).final()
-        half = flow_even(X, init, 0.5, 256).final()
-        rest = flow_even(X, half, 0.5, 256).final()
+        whole = flow_even(X, init, 1.0, 512).state(-1)
+        half = flow_even(X, init, 0.5, 256).state(-1)
+        rest = flow_even(X, half, 0.5, 256).state(-1)
         for u, v in zip(whole, rest):
             assert u.allclose(v, 1e-9)
 
@@ -95,7 +100,7 @@ class TestFlowEven:
 
     def test_blow_up_raises(self):
         X = SuperVectorField(1, 0, Parity.EVEN,
-                             [GrassmannPoly.from_even(1, 0, PolyMap(1, {(2,): 1.0}))])
+                             [GrassmannPoly(1, 0, {(): PolyMap(1, {(2,): 1.0})})])
         with pytest.raises(DomainError):
             flow_even(X, [G.scalar(2, 2.0)], 5.0, 2000)
 
@@ -120,7 +125,7 @@ class TestFlowEven:
                 G.from_terms(n, {(): -0.3, (2, 3): -0.4}),
                 G.generator(n, 1) * 0.8]
         tr = flow_even(X, init, 1.0, 400)
-        got = np.stack([v.comps for v in tr.final()])
+        got = np.stack([v.comps for v in tr.state(-1)])
         want = flow_oracle(X, np.stack([v.comps for v in init]), 1.0, n)
         assert float(np.max(np.abs(got - want))) < 1e-9
 
@@ -160,7 +165,7 @@ class TestFlowOdd:
         init = [G.from_terms(n, {(): 0.5, (1, 2): 0.1}), G.generator(n, 1) * 0.5]
         Y = X.squared()
         out0 = flow_odd(X, init, SuperPoint.at(n, 1.0), 256)
-        final = flow_even(Y, init, 1.0, 256).final()
+        final = flow_even(Y, init, 1.0, 256).state(-1)
         for u, v in zip(out0, final):
             assert u.allclose(v, 1e-9)
 
@@ -204,8 +209,8 @@ class TestFlowOdd:
         n = 4
         c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
         X = SuperVectorField(1, 1, Parity.ODD, [
-            GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
-            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+            lambda_constant(1, 1, c, odd_indices=(0,)),
+            lambda_constant(1, 1, G.one(n)),
         ])
         end = SuperPoint(G.from_terms(n, {(): 1.0, (3, 4): 0.25}), G.zero(n))
         x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
@@ -218,8 +223,8 @@ class TestFlowOdd:
         # the series asks for the second derivative, built from X^2
         n = 4
         X = SuperVectorField(1, 1, Parity.ODD, [
-            GrassmannPoly.lambda_constant(1, 1, G.generator(n, 1)),
-            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+            lambda_constant(1, 1, G.generator(n, 1)),
+            lambda_constant(1, 1, G.one(n)),
         ])
         end = SuperPoint(G.from_terms(n, {(): 1.0, (2, 3): 0.5, (1, 4): 1.0}), G.zero(n))
         x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
@@ -233,8 +238,8 @@ class TestFlowOdd:
         n = 4
         c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
         X = SuperVectorField(1, 1, Parity.ODD, [
-            GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
-            GrassmannPoly.lambda_constant(1, 1, G.one(n)),
+            lambda_constant(1, 1, c, odd_indices=(0,)),
+            lambda_constant(1, 1, G.one(n)),
         ])
         end = SuperPoint(G.from_terms(n, {(): 1.0, (1, 3): 1.0, (2, 4): 1.0}), G.zero(n))
         x, z = flow_odd(X, [G.scalar(n, 0.5), G.zero(n)], end, 16)
@@ -258,7 +263,7 @@ def family_field_r11(n):
     """c z d/dx + (1 + 0.3 x) d/dz with the family payload c = 1 + e12/2."""
     c = G.from_terms(n, {(): 1.0, (1, 2): 0.5})
     return SuperVectorField(1, 1, Parity.ODD, [
-        GrassmannPoly.lambda_constant(1, 1, c, odd_indices=(0,)),
+        lambda_constant(1, 1, c, odd_indices=(0,)),
         GrassmannPoly(1, 1, {(): PolyMap(1, {(0,): 1.0, (1,): 0.3})}),
     ])
 

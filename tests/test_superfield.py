@@ -15,7 +15,7 @@ from supertransport.superfield import (
     taylor_stack_at,
 )
 
-from reference import taylor_at, value_at
+from reference import node_matrices, parity_residual, taylor_at, value_at
 
 
 def scalar_field(n, grid, a_of_t, b_of_t):
@@ -226,14 +226,14 @@ class TestBatchedFieldOps:
         g = graded_field(rng, n, grid, (2, 1), (1, 0), *rhs_parities)
         prod = f.matmul(g)
         for k in range(grid.nodes):
-            a, b, a2, b2 = f.a_matrix(k), f.b_matrix(k), g.a_matrix(k), g.b_matrix(k)
+            (a, b), (a2, b2) = node_matrices(f, k), node_matrices(g, k)
             want_a = a @ a2
             want_b = b @ a2 + a.parity_involution() @ b2
             assert np.array_equal(prod.a[k], want_a.comps)
             assert np.array_equal(prod.b[k], want_b.comps)
         assert (prod.a_parity, prod.b_parity) == (want_a.parity, want_b.parity)
         assert (prod.row_split, prod.col_split) == ((1, 1), (1, 0))
-        assert prod.parity_residual() == 0.0
+        assert parity_residual(prod) == 0.0
 
     def test_substitute_equals_node_by_node(self, rng):
         n, grid = 3, Grid(-1.0, 1e-2, 201)
