@@ -41,6 +41,7 @@ from .geometry import (
     SuperPath,
     SuperVectorField,
     Superconnection,
+    TransportData,
     chart_claim_residual,
     connection_coefficient,
     endomorphism_term,
@@ -52,7 +53,6 @@ from .geometry import (
 from .flows import Trajectory, flow_even, flow_odd, flow_odd_residual
 from .transport import (
     SweepEntry,
-    TransportData,
     TransportMap,
     adiabatic_sweep,
     glue,

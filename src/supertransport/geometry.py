@@ -3,9 +3,10 @@
 Everything is chart-local: the target is a single coordinate patch R^{p|q}
 with a trivialized rank re|ro bundle over it.  The building blocks are
 
-* `Curve` -- a Grassmann-valued smooth function of one real parameter with an
-  exact (or finite-difference) derivative chain; paths, substituted paths and
-  reparametrized paths are all made of these;
+* `Curve` -- a Grassmann-valued smooth function of one real parameter with
+  the derivative chain its constructor attaches (exact, or the grid's
+  finite-difference stacks for a sampled curve); paths, substituted paths
+  and reparametrized paths are all made of these;
 * `SuperPath` -- the theta-expansion x_i(t) + theta*y_i(t) of a supercurve
   into R^{p|q}, one (even, odd) curve pair per coordinate;
 * `GrassmannPoly` -- a function on R^{p|q}: a finite sum of even-variable
@@ -66,24 +67,21 @@ from .grassmann import (
 )
 from .superfield import Grid, SuperField, SuperPoint
 
-_FD_STEP = 1e-3
-
 
 class Curve:
     """A Grassmann-valued smooth function of one real parameter.
 
     A curve samples itself at a 1-D array of times as a (2**n, nodes) array
     of component columns (:meth:`sample`); calling it at one time is a batch
-    of one.  It also knows how to produce its derivative curve.  Exact
-    derivative chains are attached by the constructors below; when none is
-    available the derivative falls back to a fourth-order central
-    difference of the values.
+    of one.  ``derivative`` builds its derivative curve, called once, on
+    first use; the constructors and combinators below attach exact chains
+    (the grid's fourth-order stacks for :meth:`from_samples`).
     """
 
     __slots__ = ("n", "_sample", "_derivative_factory", "_derivative")
 
     def __init__(self, n: int, sample: Callable[[np.ndarray], np.ndarray],
-                 derivative: "Callable[[], Curve] | None" = None):
+                 derivative: "Callable[[], Curve]"):
         self.n = n
         self._sample = sample
         self._derivative_factory = derivative
@@ -99,10 +97,7 @@ class Curve:
     def derivative(self) -> "Curve":
         # filled once; a racing second fill builds an equal curve
         if self._derivative is None:
-            if self._derivative_factory is not None:
-                self._derivative = self._derivative_factory()
-            else:
-                self._derivative = _fd_curve(self)
+            self._derivative = self._derivative_factory()
         return self._derivative
 
     def eval_grassmann(self, t: GrassmannElement) -> GrassmannElement:
@@ -229,14 +224,6 @@ class Curve:
                          lambda: make(fd4_stack(stk, grid.h)))
 
         return make(np.stack([v.comps for v in values]))
-
-
-def _fd_curve(base: Curve, h: float = _FD_STEP) -> Curve:
-    def sample(ts: np.ndarray) -> np.ndarray:
-        return (base.sample(ts - 2 * h) - 8.0 * base.sample(ts - h)
-                + 8.0 * base.sample(ts + h) - base.sample(ts + 2 * h)) / (12.0 * h)
-
-    return Curve(base.n, sample)
 
 
 class _Composition:
@@ -859,17 +846,37 @@ class Connection:
 
 
 @dataclass(frozen=True)
+class TransportData:
+    """Solver-level transport data on an R^{p|q} target: a connection plus an
+    optional odd endomorphism-valued function (subtracted in the D variant,
+    added in Q) whose z^J coefficients have block parity (1 + |J|) mod 2."""
+
+    connection: Connection
+    endomorphism: GrassmannPoly | None = None
+
+    def __post_init__(self):
+        if self.endomorphism is not None:
+            _check_endomorphism(self.endomorphism, self.connection, self.rank)
+            _check_term_parities(self.endomorphism, self.rank, Parity.ODD)
+
+    @property
+    def rank(self) -> tuple[int, int]:
+        return self.connection.rank
+
+
+@dataclass(frozen=True)
 class Superconnection:
     """Quillen data: a grading-preserving connection plus odd-total forms.
 
     The form part must not contain degree 1 (that slot is the connection) and
     every summand has odd total parity: a k-form with endomorphism parity
-    (1 + k) mod 2.  ``odd_tangent`` keeps :func:`odd_tangent_data`.
+    (1 + k) mod 2.  ``odd_tangent`` keeps :func:`odd_tangent_data`, checked
+    once here.
     """
 
     connection: Connection
     forms: tuple[DifferentialForm, ...] = ()
-    odd_tangent: tuple[Connection, GrassmannPoly] = field(init=False, repr=False, compare=False)
+    odd_tangent: TransportData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.connection.q != 0:
@@ -908,7 +915,6 @@ def _adjoined_coordinates(path: SuperPath, times: np.ndarray) -> np.ndarray:
 
 
 def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
-              parities: tuple[Parity, Parity],
               value_hat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SuperField:
     """The field whose values at the grid nodes are ``value_hat(times, coords)``.
 
@@ -928,7 +934,7 @@ def _assemble(path: SuperPath, grid: Grid, rank: tuple[int, int],
         _check_coordinates(path.p, path.q, coords)
         a_blk, b_blk = split_theta(n, value_hat(times[blk], coords))
         a[blk], b[blk] = a_blk.swapaxes(0, 1), b_blk.swapaxes(0, 1)
-    return SuperField(grid, n, a, b, tuple(rank), tuple(rank), *parities)
+    return SuperField(grid, n, a, b, tuple(rank), tuple(rank))
 
 
 def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid, variant: str = "D",
@@ -965,7 +971,7 @@ def connection_coefficient(path: SuperPath, conn: Connection, grid: Grid, varian
             acc = acc - theta_sign * endomorphism._values(coords)
         return acc
 
-    return _assemble(path, grid, conn.rank, (Parity.ODD, Parity.EVEN), value_hat)
+    return _assemble(path, grid, conn.rank, value_hat)
 
 
 def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperField:
@@ -982,8 +988,7 @@ def lift_pullback(path: SuperPath, form: DifferentialForm, grid: Grid) -> SuperF
     if form.degree > path.p:
         raise DegreeError(f"form degree {form.degree} exceeds target dimension {path.p}")
     fn = _odd_monomial_function([form], path.p, form.rank)
-    total = form.total_parity
-    return _assemble(odd_tangent_lift(path), grid, form.rank, (total, total.flipped()),
+    return _assemble(odd_tangent_lift(path), grid, form.rank,
                      lambda times, coords: fn._values(coords))
 
 
@@ -1012,8 +1017,7 @@ def endomorphism_term(path: SuperPath, endo: GrassmannPoly, grid: Grid,
     adjoining it as one extra generator.
     """
     _check_endomorphism(endo, path, rank)
-    return _assemble(path, grid, rank, (Parity.ODD, Parity.EVEN),
-                     lambda times, coords: endo._values(coords))
+    return _assemble(path, grid, rank, lambda times, coords: endo._values(coords))
 
 
 def _check_endomorphism(endo: GrassmannPoly, chart, rank: tuple[int, int]):
@@ -1052,8 +1056,8 @@ def _odd_monomial_function(forms: Sequence[DifferentialForm], p: int,
     return GrassmannPoly(p, p, terms, rank=rank)
 
 
-def odd_tangent_data(sc: Superconnection) -> tuple[Connection, GrassmannPoly]:
-    """Superconnection data seen on the odd tangent bundle.
+def odd_tangent_data(sc: Superconnection) -> TransportData:
+    """Superconnection data seen on the odd tangent bundle, checked.
 
     The connection pulls back with no components along the new odd
     directions; the form part becomes a single End-valued function with the
@@ -1064,7 +1068,8 @@ def odd_tangent_data(sc: Superconnection) -> tuple[Connection, GrassmannPoly]:
     coeffs = [GrassmannPoly(p, p, {(): c.terms.get((), PolyMap.zero(p, (r, r)))}, rank=sc.rank)
               for c in sc.connection.coeffs]
     coeffs += [GrassmannPoly.zero(p, p, (r, r), sc.rank) for _ in range(p)]
-    return Connection(p, p, sc.rank, coeffs), _odd_monomial_function(sc.forms, p, sc.rank)
+    return TransportData(Connection(p, p, sc.rank, coeffs),
+                         _odd_monomial_function(sc.forms, p, sc.rank))
 
 
 def chart_claim_residual(path: SuperPath, fns: Sequence[PolyMap],

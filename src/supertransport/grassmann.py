@@ -13,6 +13,8 @@ each key (:func:`grades_of`, :func:`ring_parity_signs`), the block
 parities of graded matrices (:func:`split_parities`, :func:`total_parities`,
 :func:`stack_parity`), and where an extra odd coordinate theta sits when it
 is adjoined as generator n + 1 (:func:`adjoin_theta`, :func:`split_theta`).
+Parity is always read from the components: no element or matrix carries a
+declared parity next to its data.
 It also owns the one generator limit: an element holds at most
 ``MAX_GENERATORS`` generators, checked where it is built, and the product
 tables go one generator higher so that theta always finds its slot.
@@ -78,12 +80,6 @@ class Parity(IntEnum):
 
     def flipped(self) -> "Parity":
         return Parity(self ^ 1)
-
-    @staticmethod
-    def combine(a: "Parity | None", b: "Parity | None") -> "Parity | None":
-        if a is None or b is None:
-            return None
-        return Parity(a ^ b)
 
 
 @lru_cache(maxsize=None)
@@ -817,16 +813,18 @@ def taylor_eval(f, xs: Sequence[GrassmannElement]) -> GrassmannElement:
 class GradedMatrix:
     """A matrix over the Grassmann algebra with a Z/2 block structure.
 
-    Rows split into ``row_split = (even, odd)`` and likewise columns.  A
-    declared parity ``p`` requires every entry in block (i, j) to be a
-    homogeneous element of parity ``p XOR blockparity(i, j)``; ``parity=None``
-    skips the check and marks a heterogeneous value.
+    Rows split into ``row_split = (even, odd)`` and likewise columns.  The
+    matrix is even (odd) when every entry in block (i, j) is a homogeneous
+    element of parity blockparity(i, j) (its flip); :attr:`parity` reads this
+    from the components, None for a heterogeneous value.  A ``parity`` given
+    to a constructor is checked against the components (ParityError on a
+    mismatch) and not stored.
     """
 
-    __slots__ = ("n", "comps", "row_split", "col_split", "parity")
+    __slots__ = ("n", "comps", "row_split", "col_split")
 
     def __init__(self, n: int, comps: np.ndarray, row_split: tuple[int, int],
-                 col_split: tuple[int, int], parity: Parity | None, check: bool = True):
+                 col_split: tuple[int, int], parity: Parity | None = None):
         r = row_split[0] + row_split[1]
         c = col_split[0] + col_split[1]
         comps = np.asarray(comps, dtype=np.float64)
@@ -838,12 +836,16 @@ class GradedMatrix:
         self.comps = comps
         self.row_split = row_split
         self.col_split = col_split
-        self.parity = parity
-        if check and parity is not None:
+        if parity is not None:
             violations = np.abs(comps[total_parities(n, row_split, col_split) != parity])
             bad = float(violations.max()) if violations.size else 0.0
             if bad != 0.0:
-                raise ParityError(f"matrix violates declared parity by {bad}")
+                raise ParityError(f"matrix violates the given parity by {bad}")
+
+    @property
+    def parity(self) -> Parity | None:
+        """Parity if homogeneous (zero counts as even), else None."""
+        return stack_parity(self.n, self.comps, self.row_split, self.col_split)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -861,26 +863,24 @@ class GradedMatrix:
         matrix = np.asarray(matrix, dtype=np.float64)
         comps = np.zeros((1 << n,) + matrix.shape)
         comps[0] = matrix
-        if parity is None:
-            parity = stack_parity(n, comps, row_split, col_split)
         return cls(n, comps, tuple(row_split), tuple(col_split), parity)
 
     @classmethod
-    def zeros(cls, n: int, row_split, col_split, parity: Parity | None = Parity.EVEN) -> "GradedMatrix":
+    def zeros(cls, n: int, row_split, col_split) -> "GradedMatrix":
         r = row_split[0] + row_split[1]
         c = col_split[0] + col_split[1]
-        return cls(n, np.zeros((1 << n, r, c)), tuple(row_split), tuple(col_split), parity)
+        return cls(n, np.zeros((1 << n, r, c)), tuple(row_split), tuple(col_split))
 
     @classmethod
     def identity(cls, n: int, split) -> "GradedMatrix":
         r = split[0] + split[1]
         comps = np.zeros((1 << n, r, r))
         comps[0] = np.eye(r)
-        return cls(n, comps, tuple(split), tuple(split), Parity.EVEN)
+        return cls(n, comps, tuple(split), tuple(split))
 
     @classmethod
     def from_entries(cls, entries, row_split, col_split,
-                     parity: Parity | None = None, check: bool = True) -> "GradedMatrix":
+                     parity: Parity | None = None) -> "GradedMatrix":
         rows = len(entries)
         cols = len(entries[0])
         n = entries[0][0].n
@@ -891,7 +891,7 @@ class GradedMatrix:
                 if e.n != n:
                     raise DimensionError("entries live over different algebras")
                 comps[:, i, j] = e.comps
-        return cls(n, comps, tuple(row_split), tuple(col_split), parity, check=check)
+        return cls(n, comps, tuple(row_split), tuple(col_split), parity)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -903,16 +903,13 @@ class GradedMatrix:
         self._check_compatible(other)
         if self.shape != other.shape:
             raise DimensionError("shape mismatch in addition")
-        parity = self.parity if self.parity == other.parity else None
-        return GradedMatrix(self.n, self.comps + other.comps, self.row_split,
-                            self.col_split, parity, check=False)
+        return GradedMatrix(self.n, self.comps + other.comps, self.row_split, self.col_split)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         return self + (-other)
 
     def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(self.n, -self.comps, self.row_split, self.col_split,
-                            self.parity, check=False)
+        return GradedMatrix(self.n, -self.comps, self.row_split, self.col_split)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Operator product in the graded algebra (odd blocks anticommute
@@ -922,26 +919,22 @@ class GradedMatrix:
             raise DimensionError("block structure mismatch in product")
         comps = graded_mul_stacks(self.n, self.comps, other.comps,
                                   split_parities(self.row_split), split_parities(self.col_split))
-        return GradedMatrix(self.n, comps, self.row_split, other.col_split,
-                            Parity.combine(self.parity, other.parity), check=False)
+        return GradedMatrix(self.n, comps, self.row_split, other.col_split)
 
     def scale_left(self, u) -> "GradedMatrix":
         """Multiply by a scalar from the left (a scalar is an even-block
         operator, so this is the plain entrywise product)."""
         if isinstance(u, (int, float)):
-            return GradedMatrix(self.n, self.comps * float(u), self.row_split,
-                                self.col_split, self.parity, check=False)
+            return GradedMatrix(self.n, self.comps * float(u), self.row_split, self.col_split)
         if u.n != self.n:
             raise DimensionError("scalar lives over a different algebra")
         comps = scale_stack(self.n, u.comps, self.comps, side="left")
-        return GradedMatrix(self.n, comps, self.row_split, self.col_split,
-                            Parity.combine(u.parity, self.parity), check=False)
+        return GradedMatrix(self.n, comps, self.row_split, self.col_split)
 
     def parity_involution(self) -> "GradedMatrix":
         """Negate the total-parity-odd part (grade parity XOR block parity)."""
         signs = 1.0 - 2.0 * total_parities(self.n, self.row_split, self.col_split)
-        return GradedMatrix(self.n, self.comps * signs, self.row_split,
-                            self.col_split, self.parity, check=False)
+        return GradedMatrix(self.n, self.comps * signs, self.row_split, self.col_split)
 
     # -- access ------------------------------------------------------------
 
@@ -995,7 +988,7 @@ class GradedMatrix:
         ]
         parity = data.get("parity")
         return cls.from_entries(entries, tuple(data["row_split"]), tuple(data["col_split"]),
-                                None if parity is None else Parity(parity), check=False)
+                                None if parity is None else Parity(parity))
 
 
 def graded_expm(m: GradedMatrix) -> GradedMatrix:
@@ -1009,13 +1002,12 @@ def graded_expm(m: GradedMatrix) -> GradedMatrix:
     is not parity-consistent.
     """
     if m.parity is not Parity.EVEN:
-        raise ParityError("graded_expm requires an even-declared matrix")
+        raise ParityError("graded_expm requires an even matrix")
     if m.shape[0] != m.shape[1] or m.row_split != m.col_split:
         raise DimensionError("graded_expm requires a square matrix")
     body_norm = float(np.linalg.norm(m.comps[0], 1))
     squarings = max(0, int(math.ceil(math.log2(max(body_norm, 1e-16) / 0.5))))
-    scaled = GradedMatrix(m.n, m.comps / (2.0 ** squarings), m.row_split,
-                          m.col_split, Parity.EVEN, check=False)
+    scaled = GradedMatrix(m.n, m.comps / (2.0 ** squarings), m.row_split, m.col_split)
     terms = max(24, m.n + 2)
     acc = GradedMatrix.identity(m.n, m.row_split)
     for k in range(terms, 0, -1):

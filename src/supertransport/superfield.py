@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParityError, ResolutionError
 from .grassmann import (
     GrassmannElement,
-    Parity,
     graded_mul_stacks,
     scale_stack,
     soul_series,
@@ -41,6 +40,10 @@ from .grassmann import (
 _INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# A time is a grid node within _NODE_TOL steps of one, and inside the grid
+# window within _WINDOW_SLACK of its ends.
+_NODE_TOL = 1e-9
+_WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,15 @@ class Grid:
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.nodes)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         k = (t - self.t0) / self.h
         ki = int(round(k))
-        if abs(k - ki) > tol or not 0 <= ki < self.nodes:
+        if abs(k - ki) > _NODE_TOL or not 0 <= ki < self.nodes:
             raise DomainError(f"time {t} is not a node of the grid")
         return ki
 
-    def contains(self, t: float, slack: float = 1e-9) -> bool:
-        return self.t0 - slack <= t <= self.t_end + slack
+    def contains(self, t: float) -> bool:
+        return self.t0 - _WINDOW_SLACK <= t <= self.t_end + _WINDOW_SLACK
 
     @classmethod
     def over(cls, t_start: float, t_stop: float, nodes: int) -> "Grid":
@@ -209,17 +212,16 @@ def taylor_stack_at(grid: Grid, stack: np.ndarray, t: GrassmannElement) -> np.nd
 class SuperField:
     """A (matrix-valued) function a(t) + theta*b(t) on S x R^{1|1}.
 
-    ``a`` and ``b`` are stacks of graded-matrix components sharing one grid;
-    ``a_parity``/``b_parity`` are the declared parities of the two halves
-    (for a field of homogeneous value parity they are opposite).
+    ``a`` and ``b`` are stacks of graded-matrix components sharing one grid.
+    The field stores no parity: for a field of homogeneous value parity the
+    two halves have opposite parities, read from their components (the
+    transport solver checks its coefficient field this way).
     """
 
-    __slots__ = ("grid", "n", "a", "b", "row_split", "col_split",
-                 "a_parity", "b_parity")
+    __slots__ = ("grid", "n", "a", "b", "row_split", "col_split")
 
     def __init__(self, grid: Grid, n: int, a: np.ndarray, b: np.ndarray,
-                 row_split: tuple[int, int], col_split: tuple[int, int],
-                 a_parity: Parity | None, b_parity: Parity | None):
+                 row_split: tuple[int, int], col_split: tuple[int, int]):
         r = row_split[0] + row_split[1]
         c = col_split[0] + col_split[1]
         want = (grid.nodes, 1 << n, r, c)
@@ -235,8 +237,6 @@ class SuperField:
         self.b.setflags(write=False)
         self.row_split = tuple(row_split)
         self.col_split = tuple(col_split)
-        self.a_parity = a_parity
-        self.b_parity = b_parity
 
     # -- derivations ---------------------------------------------------------
 
@@ -250,15 +250,12 @@ class SuperField:
             raise ResolutionError("derivation needs at least 5 grid nodes")
         da = fd4_stack(self.a, self.grid.h)
         if which == "D":
-            return SuperField(self.grid, self.n, self.b, da, self.row_split,
-                              self.col_split, self.b_parity, self.a_parity)
+            return SuperField(self.grid, self.n, self.b, da, self.row_split, self.col_split)
         if which == "Q":
-            return SuperField(self.grid, self.n, self.b, -da, self.row_split,
-                              self.col_split, self.b_parity, self.a_parity)
+            return SuperField(self.grid, self.n, self.b, -da, self.row_split, self.col_split)
         if which == "dt":
             db = fd4_stack(self.b, self.grid.h)
-            return SuperField(self.grid, self.n, da, db, self.row_split,
-                              self.col_split, self.a_parity, self.b_parity)
+            return SuperField(self.grid, self.n, da, db, self.row_split, self.col_split)
         raise ValueError(f"unknown derivation {which!r}; expected 'D', 'Q' or 'dt'")
 
     def dd_identity_check(self, dt_reference: "SuperField | None" = None) -> tuple[float, float]:
@@ -275,16 +272,14 @@ class SuperField:
     def __add__(self, other: "SuperField") -> "SuperField":
         self._check_same_grid(other)
         return SuperField(self.grid, self.n, self.a + other.a, self.b + other.b,
-                          self.row_split, self.col_split,
-                          self.a_parity if self.a_parity == other.a_parity else None,
-                          self.b_parity if self.b_parity == other.b_parity else None)
+                          self.row_split, self.col_split)
 
     def __sub__(self, other: "SuperField") -> "SuperField":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: float) -> "SuperField":
         return SuperField(self.grid, self.n, self.a * factor, self.b * factor,
-                          self.row_split, self.col_split, self.a_parity, self.b_parity)
+                          self.row_split, self.col_split)
 
     def matmul(self, other: "SuperField") -> "SuperField":
         """Pointwise product (a + theta b)(a' + theta b') with graded signs."""
@@ -300,12 +295,8 @@ class SuperField:
         out_a = graded_mul_stacks(n, a, a2, rows, mid)
         out_b = (graded_mul_stacks(n, b, a2, rows, mid)
                  + graded_mul_stacks(n, eps * a, b2, rows, mid))
-        b_parts = (Parity.combine(self.b_parity, other.a_parity),
-                   Parity.combine(self.a_parity, other.b_parity))
         return SuperField(self.grid, n, out_a.swapaxes(0, 1), out_b.swapaxes(0, 1),
-                          self.row_split, other.col_split,
-                          Parity.combine(self.a_parity, other.a_parity),
-                          b_parts[0] if b_parts[0] == b_parts[1] else None)
+                          self.row_split, other.col_split)
 
     def _check_same_grid(self, other: "SuperField"):
         if self.grid != other.grid or self.n != other.n:
@@ -346,7 +337,7 @@ class SuperField:
         if taurho is not None:
             new_b = new_b - scale_stack(n, taurho.comps, db, side="left")
         return SuperField(new_grid, n, new_a.swapaxes(0, 1), new_b.swapaxes(0, 1),
-                          self.row_split, self.col_split, self.a_parity, self.b_parity)
+                          self.row_split, self.col_split)
 
     def right_translated(self, point: SuperPoint, new_grid: Grid) -> "SuperField":
         """Precompose with the right translation (u, eta) -> (u, eta)(t0, th0)."""

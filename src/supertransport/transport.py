@@ -46,11 +46,9 @@ from .errors import (
 from .geometry import (
     Connection,
     Curve,
-    GrassmannPoly,
     SuperPath,
     Superconnection,
-    _check_endomorphism,
-    _check_term_parities,
+    TransportData,
     connection_coefficient,
     endomorphism_term,
     odd_tangent_lift,
@@ -58,7 +56,6 @@ from .geometry import (
 from .grassmann import (
     GradedMatrix,
     GrassmannElement,
-    Parity,
     graded_mul_stacks,
     mul_stacks,
     node_blocks,
@@ -67,7 +64,6 @@ from .grassmann import (
     soul_series,
     split_parities,
     split_theta,
-    stack_parity,
     total_parities,
 )
 from .superfield import Grid, SuperField, SuperPoint, node_jets, taylor_stack_at
@@ -139,18 +135,28 @@ def solve_parallel(field: SuperField, end: SuperPoint, variant: str = "D") -> Gr
     both times must therefore sit on even node offsets.  Returns a
     GradedMatrix mapping initial values to values at the endpoint; its
     ``apply`` transports a vector.
+
+    The field must be odd, read from its data: no nonzero (or NaN) entry of
+    C in an even total-parity slot, none of Dm in an odd one (ParityError).
+    Fields assembled by the library are exact in this sense, so the batched
+    march of :func:`adiabatic_sweep` skips this check.
     """
+    odd = total_parities(field.n, field.row_split, field.col_split) == 1
+    # each slot's entry of the half that must vanish there: Dm if odd, C if even
+    if np.any(np.where(odd, field.b, field.a)):
+        raise ParityError("coefficient field must be odd (theta part even) "
+                          "for the parallel equation to be parity consistent")
     return _march([field], end, variant)[0]
 
 
 def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[GradedMatrix]:
     """Fundamental maps at one endpoint for a batch of coefficient fields.
 
-    Every field is checked as :func:`solve_parallel` checks one, and the
-    batch must share the grid, the algebra and the block splits.  The
-    fields' stacks gain a problem axis right after the key axis and march
-    in blocks of problems from :func:`node_blocks`, an item being one
-    problem's (nodes, r, r) coefficient stack, which bound the dense
+    Every field is checked as :func:`solve_parallel` checks one, parity
+    aside, and the batch must share the grid, the algebra and the block
+    splits.  The fields' stacks gain a problem axis right after the key
+    axis and march in blocks of problems from :func:`node_blocks`, an item
+    being one problem's (nodes, r, r) coefficient stack, which bound the dense
     temporaries of a block's march: its RK4 step maps (:func:`_step_maps`)
     and their product (:func:`_ordered_product`), whose ring products take
     all steps at once.  A non-finite product raises DomainError.
@@ -161,9 +167,6 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
     for field in fields:
         if end.n != field.n:
             raise DimensionError("endpoint lives over a different algebra")
-        if field.a_parity not in (None, Parity.ODD) or field.b_parity not in (None, Parity.EVEN):
-            raise ParityError("coefficient field must be odd (theta part even) "
-                              "for the parallel equation to be parity consistent")
         grid = field.grid
         if not (grid.contains(0.0) and grid.contains(body)):
             raise DomainError(f"endpoint time {body} outside the coefficient grid")
@@ -195,9 +198,7 @@ def _march(fields: Sequence[SuperField], end: SuperPoint, variant: str) -> list[
         C_end = taylor_stack_at(grid, a, end.t)
         B_stack = -graded_mul_stacks(n, C_end, X, rows, rows)
         maps[:, blk] = X + scale_stack(n, end.theta.comps, B_stack, side="left")
-    return [GradedMatrix(n, maps[:, k], first.row_split, first.col_split,
-                         stack_parity(n, maps[:, k], first.row_split, first.col_split),
-                         check=False)
+    return [GradedMatrix(n, maps[:, k], first.row_split, first.col_split)
             for k in range(len(fields))]
 
 
@@ -284,25 +285,6 @@ def _solve_grid(path: SuperPath, end: SuperPoint, steps: int) -> Grid:
     return Grid.over(lo, hi, 2 * steps + 1)
 
 
-@dataclass(frozen=True)
-class TransportData:
-    """Solver-level transport data on an R^{p|q} target: a connection plus an
-    optional odd endomorphism-valued function (subtracted in the D variant,
-    added in Q) whose z^J coefficients have block parity (1 + |J|) mod 2."""
-
-    connection: Connection
-    endomorphism: GrassmannPoly | None = None
-
-    def __post_init__(self):
-        if self.endomorphism is not None:
-            _check_endomorphism(self.endomorphism, self.connection, self.rank)
-            _check_term_parities(self.endomorphism, self.rank, Parity.ODD)
-
-    @property
-    def rank(self) -> tuple[int, int]:
-        return self.connection.rank
-
-
 def _transport(path: SuperPath, data, end: SuperPoint, steps: int, variant: str) -> TransportMap:
     """Transport from one `connection_coefficient` pass; Quillen data on its lift."""
     if isinstance(data, Superconnection):
@@ -343,13 +325,14 @@ def lift_problem(path: SuperPath, sc: Superconnection) -> tuple[SuperPath, Trans
     """The odd-tangent-bundle version of a Quillen transport problem.
 
     Returns the lifted path into R^{p|p} with the pulled-back connection and
-    the form part as an odd endomorphism (``sc.odd_tangent``).  Quillen data
+    the form part as an odd endomorphism: ``sc.odd_tangent``, built and
+    checked with the superconnection and returned as it is.  Quillen data
     is transported on the lift, and substitutions of the R^{1|1} argument
     (gluing, reversal) act there, where the composition theorems apply exactly.
     """
     if not isinstance(sc, Superconnection):
         raise TypeError(f"only Quillen data lifts, not {type(sc).__name__}")
-    return odd_tangent_lift(path), TransportData(*sc.odd_tangent)
+    return odd_tangent_lift(path), sc.odd_tangent
 
 
 def reverse_transport(path: SuperPath, sc, end: SuperPoint,
@@ -469,12 +452,11 @@ def _coefficient_at_zero(oracle: Callable[[SuperPath, SuperPoint], TransportMap]
     theta = GrassmannElement.generator(n, n)
     at_theta = oracle(probe, SuperPoint(GrassmannElement.zero(n), theta))
     splits = at_theta.matrix.row_split, at_theta.matrix.col_split
-    C0m = GradedMatrix(n - 1, -split_theta(n - 1, at_theta.matrix.comps)[1], *splits,
-                       None, check=False)
+    C0m = GradedMatrix(n - 1, -split_theta(n - 1, at_theta.matrix.comps)[1], *splits)
     plus = oracle(probe, SuperPoint.at(n, fd_step))
     minus = oracle(probe, SuperPoint.at(n, -fd_step))
     adot = (plus.matrix.comps - minus.matrix.comps) / (2.0 * fd_step)
-    adot_m = GradedMatrix(n - 1, split_theta(n - 1, adot)[0], *splits, None, check=False)
+    adot_m = GradedMatrix(n - 1, split_theta(n - 1, adot)[0], *splits)
     # a' = (eps(C) C - Dm) a with a(0) = 1, so Dm(0) = eps(C0) C0 - a'(0)
     Dm = C0m.parity_involution() @ C0m - adot_m
     return C0m, Dm
@@ -503,8 +485,7 @@ def recover(oracle: Callable[[SuperPath, SuperPoint], TransportMap],
 
     def line_probe(velocity: Sequence[float], eta: Sequence[GrassmannElement]) -> SuperPath:
         pb = SuperPath.line(n, x0, velocity, eta, 4 * fd_step)
-        pb.margin = 8 * fd_step
-        return pb
+        return SuperPath(pb.p, pb.q, n, pb.a, pb.b, pb.t_end, 8 * fd_step)
 
     # base probe: eta = 0, v = 0 -> C(0) = -(0-form)
     base_probe = line_probe([0.0] * p, [zero] * p)

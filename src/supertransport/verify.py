@@ -150,8 +150,8 @@ def random_polynomial_field(rng, n: int, rank=(1, 1), degree: int = 3,
     b = np.einsum("kt,kdrc->tdrc", powers, coeff_b)
     da = np.einsum("kt,kdrc->tdrc", dpowers, coeff_a)
     db = np.einsum("kt,kdrc->tdrc", dpowers, coeff_b)
-    field = SuperField(grid, n, a, b, rank, rank, None, None)
-    dfield = SuperField(grid, n, da, db, rank, rank, None, None)
+    field = SuperField(grid, n, a, b, rank, rank)
+    dfield = SuperField(grid, n, da, db, rank, rank)
     return field, dfield
 
 

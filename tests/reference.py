@@ -518,10 +518,8 @@ def taylor_at(field, which: str, t):
     from supertransport.grassmann import GradedMatrix
     from supertransport.superfield import taylor_stack_at
 
-    stack = getattr(field, which)
-    parity = field.a_parity if which == "a" else field.b_parity
-    return GradedMatrix(field.n, taylor_stack_at(field.grid, stack, t),
-                        field.row_split, field.col_split, parity, check=False)
+    return GradedMatrix(field.n, taylor_stack_at(field.grid, getattr(field, which), t),
+                        field.row_split, field.col_split)
 
 
 def value_at(field, point):
@@ -533,21 +531,21 @@ def value_at(field, point):
 
 
 def node_matrices(field, k):
-    """A field's A and B at grid node k, as graded matrices of its declared parities."""
+    """A field's A and B at grid node k, as graded matrices."""
     from supertransport.grassmann import GradedMatrix
 
-    return tuple(GradedMatrix(field.n, stack[k], field.row_split, field.col_split, parity,
-                              check=False)
-                 for stack, parity in ((field.a, field.a_parity), (field.b, field.b_parity)))
+    return tuple(GradedMatrix(field.n, stack[k], field.row_split, field.col_split)
+                 for stack in (field.a, field.b))
 
 
-def parity_residual(field) -> float:
-    """The largest entry of a field's A and B stacks off their declared parities."""
+def parity_residual(field, parity_a, parity_b) -> float:
+    """The largest entry of a field's A and B stacks off the given parities;
+    a parity of None skips its stack."""
     from supertransport.grassmann import total_parities
 
     off = total_parities(field.n, field.row_split, field.col_split)
     return max((float(np.abs(stack[:, off != parity]).max(initial=0.0))
-                for stack, parity in ((field.a, field.a_parity), (field.b, field.b_parity))
+                for stack, parity in ((field.a, parity_a), (field.b, parity_b))
                 if parity is not None), default=0.0)
 
 
@@ -555,5 +553,4 @@ def mapped_matrix(hom, m):
     """An algebra map applied to every entry of a graded matrix."""
     from supertransport.grassmann import GradedMatrix
 
-    return GradedMatrix(hom.n_to, hom.apply_components(m.comps), m.row_split, m.col_split,
-                        m.parity, check=False)
+    return GradedMatrix(hom.n_to, hom.apply_components(m.comps), m.row_split, m.col_split)

@@ -60,11 +60,6 @@ class TestCurve:
         dd = d.derivative()
         assert abs(dd(t).body + 2.0 * 9.0 * np.cos(3.0 * t + 0.4)) < 1e-12
 
-    def test_fd_fallback(self):
-        c = Curve(2, lambda ts: np.outer(G.one(2).comps, np.exp(0.5 * ts)))
-        d = c.derivative()
-        assert abs(d(0.3).body - 0.5 * np.exp(0.15)) < 1e-10
-
     def test_compose_and_power(self):
         r = Curve.polynomial(2, [0.0, 0.5, 0.25, 0.25])
         base = Curve.polynomial(2, [0.0, 0.0, 1.0])
@@ -419,8 +414,7 @@ class TestPullbacks:
         sc = random_superconnection(rng, 2, (1, 1))
         path = random_path(rng, n, 2)
         fld = superconnection_coefficient(path, sc, Grid(0.0, 0.05, 21))
-        assert parity_residual(fld) == 0.0
-        assert fld.a_parity is Parity.ODD and fld.b_parity is Parity.EVEN
+        assert parity_residual(fld, Parity.ODD, Parity.EVEN) == 0.0
 
 
 class TestOddTangent:
@@ -438,7 +432,8 @@ class TestOddTangent:
     def test_data_round_trip(self, rng):
         from supertransport.verify import random_superconnection
         sc = random_superconnection(rng, 2, (1, 1))
-        conn, endo = odd_tangent_data(sc)
+        data = odd_tangent_data(sc)
+        conn, endo = data.connection, data.endomorphism
         assert conn.p == 2 and conn.q == 2
         # the form part reappears as the odd-coordinate monomial terms
         assert set(endo.terms) >= {()}
@@ -599,7 +594,8 @@ class TestBatchedAssembly:
             [[G.from_terms(n, c) for c in cs] for cs in b_coeffs], 1.0)
         end = SuperPoint(G.from_terms(n, t0), G.from_terms(n, th0))
         path = odd_tangent_lift(base).reversed_through(end)
-        conn, endo = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        data = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        conn, endo = data.connection, data.endomorphism
         grid = Grid(0.0, 0.1, 9)
 
         def deriv(cs):
@@ -645,7 +641,8 @@ class TestBatchedAssembly:
         first = sampled(poly, Grid(0.0, 0.05, 25), 1.2)
         second = sampled(poly.translated(joint), Grid(-0.1, 0.05, 15), 0.6)
         glued = odd_tangent_lift(glue(first, second, joint))
-        conn, endo = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        data = odd_tangent_data(random_superconnection(rng, p, (1, 1)))
+        conn, endo = data.connection, data.endomorphism
         grid = Grid(0.0, 0.1, 11)
         eta = {(n + 1,): 1.0}
         nodes = []
@@ -670,13 +667,13 @@ class TestBatchedAssembly:
             blocks.append(len(times))
             return np.zeros((2 << n, len(times), 2, 2))
 
-        geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
+        geometry._assemble(path, grid, (1, 1), value_hat)
         assert blocks == [21]
         whole = connection_coefficient(path, conn, grid)
         # a cap of five nodes' dense stacks: blocks of 5, and the same field
         monkeypatch.setattr(grassmann, "_GATHER_CAP", 5 * 2 ** (n + 1) * 4)
         blocks.clear()
-        geometry._assemble(path, grid, (1, 1), (Parity.ODD, Parity.EVEN), value_hat)
+        geometry._assemble(path, grid, (1, 1), value_hat)
         assert blocks == [5, 5, 5, 5, 1]
         sampled = []
         adjoined = geometry._adjoined_coordinates
@@ -735,7 +732,7 @@ class TestRingEvaluation:
         from supertransport.verify import random_path, random_superconnection
         n = 3
         path = odd_tangent_lift(random_path(rng, n, 2))
-        _, endo = odd_tangent_data(random_superconnection(rng, 2, (1, 1)))
+        endo = odd_tangent_data(random_superconnection(rng, 2, (1, 1))).endomorphism
 
         def twin(f):
             def partial(alpha, x):

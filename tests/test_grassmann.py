@@ -634,10 +634,34 @@ class TestGradedMatrix:
     def test_matrix_json_round_trip(self, rng):
         n = 2
         comps = rng.uniform(-1, 1, (4, 2, 2))
-        m = GradedMatrix(n, comps, (1, 1), (1, 1), None, check=False)
+        m = GradedMatrix(n, comps, (1, 1), (1, 1))
         back = GradedMatrix.from_json_dict(m.to_json_dict())
         assert back.distance(m) == 0.0
         assert np.array_equal(back.comps, m.comps)
+
+    def test_json_parity_is_checked_against_the_entries(self):
+        # an odd matrix whose "parity" says even fails to load, so graded_expm
+        # never sees it
+        odd = GradedMatrix.from_real(2, np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 1), (1, 1))
+        data = odd.to_json_dict()
+        assert data["parity"] == 1
+        assert GradedMatrix.from_json_dict(data).parity is Parity.ODD
+        with pytest.raises(ParityError):
+            GradedMatrix.from_json_dict({**data, "parity": 0})
+
+    def test_parity_is_read_from_the_components(self, rng):
+        n, split = 2, (1, 1)
+        odd = total_parities(n, split, split) == 1
+        comps = rng.uniform(-1, 1, (4, 2, 2))
+        for data in (comps * odd, comps * ~odd, comps, np.zeros_like(comps)):
+            m = GradedMatrix(n, data, split, split)
+            assert m.parity is stack_parity(n, data, split, split)
+        assert GradedMatrix(n, comps * odd, split, split).parity is Parity.ODD
+        assert GradedMatrix(n, comps, split, split).parity is None
+        # sums and products are read again, not passed on
+        even = GradedMatrix(n, comps * ~odd, split, split)
+        assert (even + GradedMatrix(n, comps * odd, split, split)).parity is None
+        assert (even - even).parity is Parity.EVEN
 
 
 class TestAlgebraMap:

@@ -26,7 +26,7 @@ def scalar_field(n, grid, a_of_t, b_of_t):
     for k, t in enumerate(ts):
         a[k, :, 0, 0] = a_of_t(t)
         b[k, :, 0, 0] = b_of_t(t)
-    return SuperField(grid, n, a, b, (1, 0), (1, 0), None, None)
+    return SuperField(grid, n, a, b, (1, 0), (1, 0))
 
 
 def dyadic_points(n):
@@ -208,12 +208,12 @@ class TestSubstitution:
         assert lhs.distance(rhs) < 1e-8
 
 
-def graded_field(rng, n, grid, rows, cols, a_parity, b_parity):
+def graded_field(rng, n, grid, rows, cols, parity_a, parity_b):
     total = total_parities(n, rows, cols)
     shape = (grid.nodes, 1 << n, sum(rows), sum(cols))
-    a = rng.uniform(-1, 1, shape) * (total == a_parity)
-    b = rng.uniform(-1, 1, shape) * (total == b_parity)
-    return SuperField(grid, n, a, b, rows, cols, a_parity, b_parity)
+    a = rng.uniform(-1, 1, shape) * (total == parity_a)
+    b = rng.uniform(-1, 1, shape) * (total == parity_b)
+    return SuperField(grid, n, a, b, rows, cols)
 
 
 class TestBatchedFieldOps:
@@ -231,9 +231,12 @@ class TestBatchedFieldOps:
             want_b = b @ a2 + a.parity_involution() @ b2
             assert np.array_equal(prod.a[k], want_a.comps)
             assert np.array_equal(prod.b[k], want_b.comps)
-        assert (prod.a_parity, prod.b_parity) == (want_a.parity, want_b.parity)
         assert (prod.row_split, prod.col_split) == ((1, 1), (1, 0))
-        assert parity_residual(prod) == 0.0
+        # A = a a' and B = b a' + eps(a) b' read homogeneous where their terms agree
+        b_parts = {Parity(Parity.EVEN ^ rhs_parities[0]), Parity(Parity.ODD ^ rhs_parities[1])}
+        parity_b = b_parts.pop() if len(b_parts) == 1 else None
+        assert (want_a.parity, want_b.parity) == (Parity(Parity.ODD ^ rhs_parities[0]), parity_b)
+        assert parity_residual(prod, want_a.parity, want_b.parity) == 0.0
 
     def test_substitute_equals_node_by_node(self, rng):
         n, grid = 3, Grid(-1.0, 1e-2, 201)
@@ -256,4 +259,4 @@ class TestBatchedFieldOps:
                           - scale_stack(n, (tau * rho).comps, db_s))
                 assert np.max(np.abs(got.a[k] - want_a)) <= tol
                 assert np.max(np.abs(got.b[k] - want_b)) <= tol
-            assert (got.a_parity, got.b_parity) == (Parity.ODD, Parity.EVEN)
+            assert parity_residual(got, Parity.ODD, Parity.EVEN) == 0.0

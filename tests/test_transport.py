@@ -22,6 +22,7 @@ from supertransport.geometry import (
     SuperPath,
     Superconnection,
     connection_coefficient,
+    endomorphism_term,
     lift_pullback,
     superconnection_coefficient,
 )
@@ -59,6 +60,7 @@ from supertransport.verify import (
 from reference import (
     endpoint_at_node,
     mapped_matrix,
+    parity_residual,
     rk4_march_oracle,
     solution_matrix_to_stack,
     transport_oracle,
@@ -86,7 +88,7 @@ class TestSolver:
         dim = 1 << n
         zero = np.zeros((grid.nodes, dim, 2, 2))
         from supertransport.superfield import SuperField
-        field = SuperField(grid, n, zero, zero, (1, 1), (1, 1), Parity.ODD, Parity.EVEN)
+        field = SuperField(grid, n, zero, zero, (1, 1), (1, 1))
         for end in (SuperPoint.at(n, 1.0),
                     SuperPoint(G.scalar(n, 0.5), G.generator(n, 1)),
                     SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3), G.zero(n))):
@@ -114,15 +116,37 @@ class TestSolver:
         assert float(np.max(np.abs(got.comps - want))) < 1e-9
 
     def test_parity_inconsistent_field_rejected(self):
+        # the field's parity is read from its data: C even and Dm odd, the
+        # wrong way around
         from supertransport.errors import ParityError
         from supertransport.superfield import SuperField
         n = 2
         grid = Grid(0.0, 2.5e-3, 401)
-        stacks = np.zeros((grid.nodes, 1 << n, 2, 2))
-        field = SuperField(grid, n, stacks, stacks, (1, 1), (1, 1),
-                           Parity.EVEN, Parity.ODD)  # wrong way around
+        odd = grassmann.total_parities(n, (1, 1), (1, 1)) == 1
+        stacks = np.ones((grid.nodes, 1 << n, 2, 2))
+        field = SuperField(grid, n, stacks * ~odd, stacks * odd, (1, 1), (1, 1))
         with pytest.raises(ParityError):
             solve_parallel(field, SuperPoint.at(n, 1.0))
+
+    @pytest.mark.parametrize("half, slot", [("a", (0, 0, 0)), ("a", (1, 0, 1)),
+                                            ("b", (0, 0, 1)), ("b", (1, 0, 0))])
+    @pytest.mark.parametrize("value", [0.5, np.nan])
+    def test_one_entry_of_the_wrong_parity_is_rejected(self, half, slot, value):
+        # an odd field (C odd, Dm even) with one entry in a slot of the other
+        # parity: C in an even slot or Dm in an odd one, NaN included
+        from supertransport.errors import ParityError
+        from supertransport.superfield import SuperField
+        n = 2
+        grid = Grid.over(0.0, 1.0, 5)
+        odd = grassmann.total_parities(n, (1, 1), (1, 1)) == 1
+        assert odd[slot] == (half == "b")
+        stacks = {"a": np.full((grid.nodes, 1 << n, 2, 2), 0.1) * odd,
+                  "b": np.full((grid.nodes, 1 << n, 2, 2), 0.1) * ~odd}
+        end = SuperPoint.at(n, 1.0)
+        solve_parallel(SuperField(grid, n, stacks["a"], stacks["b"], (1, 1), (1, 1)), end)
+        stacks[half][(2,) + slot] = value
+        with pytest.raises(ParityError):
+            solve_parallel(SuperField(grid, n, stacks["a"], stacks["b"], (1, 1), (1, 1)), end)
 
     def test_wrong_parity_path_coordinate_rejected(self, workloads):
         # pullback assembly checks the path coordinates once per block of
@@ -579,15 +603,14 @@ class TestBatchedMarch:
         from supertransport.superfield import SuperField
         from supertransport.transport import _march
 
-        def zero_field(grid, n=2, parities=(Parity.ODD, Parity.EVEN)):
+        def zero_field(grid, n=2):
             stacks = np.zeros((grid.nodes, 1 << n, 2, 2))
-            return SuperField(grid, n, stacks, stacks, (1, 1), (1, 1), *parities)
+            return SuperField(grid, n, stacks, stacks, (1, 1), (1, 1))
 
         grid = Grid(0.0, 2.5e-3, 401)
         end = SuperPoint.at(2, 1.0)
         good = zero_field(grid)
         bad_fields = [
-            zero_field(grid, parities=(Parity.EVEN, Parity.ODD)),  # wrong parity
             zero_field(Grid(0.0, 2.5e-3, 201)),  # endpoint outside the grid
             zero_field(Grid(0.0, 1.0 / 401, 402)),  # endpoint on an odd node offset
             zero_field(grid, n=3),  # another algebra
@@ -619,7 +642,7 @@ class TestBatchedMarch:
         for _ in range(3):
             a = rng.uniform(-0.1, 0.1, (grid.nodes, 1 << n, r, r)) * odd
             b = rng.uniform(-0.1, 0.1, (grid.nodes, 1 << n, r, r)) * ~odd
-            fields.append(SuperField(grid, n, a, b, (1, 1), (1, 1), Parity.ODD, Parity.EVEN))
+            fields.append(SuperField(grid, n, a, b, (1, 1), (1, 1)))
         end = SuperPoint(G.scalar(n, 1.0) + G.monomial(n, (1, 2), 0.3), G.generator(n, 3))
         single = [solve_parallel(f, end) for f in fields]
 
@@ -891,7 +914,47 @@ class TestOneRoute:
         got = connection_coefficient(lifted, data.connection, grid, "D", data.endomorphism)
         want = superconnection_coefficient(path, sc, grid, "D")
         assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
-        assert (got.a_parity, got.b_parity) == (want.a_parity, want.b_parity)
+
+    def test_built_superconnection_is_not_checked_again(self, workloads, monkeypatch):
+        # the odd-tangent data is checked once, when the superconnection is built
+        from supertransport import geometry
+        path, sc, end = workloads.chart_problem(np.random.default_rng(1))
+        calls = []
+        check = geometry._check_term_parities
+        monkeypatch.setattr(geometry, "_check_term_parities",
+                            lambda *args: calls.append(args) or check(*args))
+        assert lift_problem(path, sc)[1] is sc.odd_tangent
+        sp(path, sc, end, steps=6)
+        reverse_transport(path, sc, end, steps=6)
+        adiabatic_sweep(path, sc, [1.0, 0.5], end, steps=6)
+        assert calls == []
+        Superconnection(sc.connection, sc.forms)
+        assert calls
+
+    @pytest.mark.parametrize("case", [("chart", s) for s in range(1, 5)]
+                             + [("random", n) for n in range(2, 6)] + [("point", 1)], ids=str)
+    def test_assembled_fields_have_exact_parity(self, workloads, case):
+        # every library-assembled coefficient field is odd to the last bit:
+        # no component of C in an even slot, none of Dm in an odd one, which
+        # is why the batched march checks no parity
+        if case[0] == "point":
+            path, sc = workloads.point_problem(np.random.default_rng(case[1]))[:2]
+        else:
+            path, sc = chart_or_random_problem(workloads, case)
+        lifted, data = lift_problem(path, sc)
+        grid = Grid.over(0.0, 1.0, 13)
+        fields = [superconnection_coefficient(path, sc, grid, v) for v in ("D", "Q")]
+        fields.append(endomorphism_term(lifted, data.endomorphism, grid, data.rank))
+        for v in ("D", "Q"):
+            fields.append(connection_coefficient(path, sc.connection, grid, v))
+            fields.append(connection_coefficient(lifted, data.connection, grid, v))
+            fields.append(connection_coefficient(lifted, data.connection, grid, v,
+                                                 data.endomorphism))
+        # over a point Dm vanishes: the path has no coordinates to move
+        assert any(np.any(f.a) for f in fields)
+        assert any(np.any(f.b) for f in fields) == (case[0] != "point")
+        for f in fields:
+            assert parity_residual(f, Parity.ODD, Parity.EVEN) == 0.0
 
     def test_only_quillen_data_lifts(self, workloads):
         path, sc, end = workloads.chart_problem(np.random.default_rng(1))
